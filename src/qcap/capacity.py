@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channels import QuantumChannel
 from .errors import ValidationError
 from .ki import KIDecomposition, ki_decompose
@@ -67,22 +69,16 @@ def intersect(curve: TradeoffCurve, slope: Slope) -> tuple[float, float]:
         return curve.c_q_endpoint, 0.0
     s = slope.value
     c_q = curve.c_q_endpoint
-
-    def gap(r: float) -> float:
-        return curve.value_at(r) - s * r
-
-    if gap(c_q) >= 0.0:
+    # the envelope is linear between these knots, so the gap to the ray is too
+    knots = np.unique(np.clip([0.0, c_q] + [p.r_q for p in curve.points], 0.0, c_q))
+    gaps = np.array([curve.value_at(r) for r in knots]) - s * knots
+    if gaps[-1] >= 0.0:
         return c_q, s * c_q
-    lo, hi = 0.0, c_q
-    if gap(lo) < 0.0:
+    if gaps[0] < 0.0:
         return 0.0, 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    r_q = 0.5 * (lo + hi)
+    k = int(np.argmax(gaps < 0.0))
+    lo, hi = knots[k - 1], knots[k]
+    r_q = float(lo + (hi - lo) * gaps[k - 1] / (gaps[k - 1] - gaps[k]))
     return r_q, s * r_q
 
 

@@ -5,8 +5,7 @@ Subcommands: ``info`` (entropies and information rates), ``kid``
 ``capacity`` (generalized-capacity report), and ``verify`` (property
 suites).  All randomness flows from ``--seed``; repeated runs with one
 config produce byte-identical output.  Exit codes: 0 success, 1 failed
-verification, 2 invalid input, 3 numerical failure.  The environment
-variable QCAP_THREADS caps optimizer worker threads.
+verification, 2 invalid input, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -282,8 +281,7 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcap",
-        description="Desk-scale numerics for quantum channel information quantities.",
-        epilog="QCAP_THREADS caps optimizer worker threads (default 1).")
+        description="Desk-scale numerics for quantum channel information quantities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="entropies and information rates")

@@ -26,7 +26,6 @@ in eps by construction.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import batched_entropy, hermitize, phase_fixed_qr, sqrt_psd
-from .optimize import maximize, thread_count
+from .optimize import maximize
 from .sampling import seed_rng
 from .states import DensityMatrix, permute_subsystems
 
@@ -263,12 +262,7 @@ def _estimate(source: ExtendedSource, kind: str, epsilon: float,
                                 chunk=problem.chunk)
         return theta
 
-    workers = min(thread_count(), len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ascended = list(pool.map(ascend, starts))
-    else:
-        ascended = [ascend(theta) for theta in starts]
+    ascended = [ascend(theta) for theta in starts]
 
     # candidate pool: raw starts too, since identity and warm isometries are
     # feasible witnesses in their own right

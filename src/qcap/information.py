@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, apply_channel
+from .channels import QuantumChannel, apply_channel, compose
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import batched_entropy, entropy_of_matrix
 from .spaces import TensorSpace
@@ -213,7 +213,5 @@ def data_processing_gap(ensemble: CQEnsemble, channel: QuantumChannel,
                         post: QuantumChannel) -> float:
     """i_g(channel) - i_g(post . channel); nonnegative up to roundoff."""
     before = generalized_information(ensemble, channel).i_g
-    from .channels import compose
-
     after = generalized_information(ensemble, compose(post, channel)).i_g
     return before - after

@@ -14,24 +14,28 @@ operators steered on A by a Hermitian operator basis on R,
 
 normalized on the support of rho_A.  The smallest *-algebra containing the
 normalized operators is not always the right object: the decomposition must
-be invariant under conjugation by rho_A's modular flow, so before taking
-product closure the generators are split into their spectral components along
-classes of equal eigenvalue ratios of rho_A.  Each component is a sum of
-corner maps  a -> P_i a P_j  over pairs with a fixed ratio lambda_i/lambda_j,
-which keeps it inside every admissible algebra while making the span flow
-invariant.  Without this step, states whose steering span is skew to the
-modular flow decompose into spurious blocks and fail reconstruction.
+be invariant under conjugation by rho_A's modular flow, so the generators are
+first split into their spectral components along classes of equal eigenvalue
+ratios of rho_A.  Each component is a sum of corner maps  a -> P_i a P_j  over
+pairs with a fixed ratio lambda_i/lambda_j, which keeps it inside every
+admissible algebra while making the span flow invariant.  Without this step,
+states whose steering span is skew to the modular flow decompose into
+spurious blocks and fail reconstruction.
 
-Block extraction follows the standard finite-dimensional *-algebra route:
-commutant-free center via a linear solve, central projectors from a generic
-center element, and per-block factorization  M_{d_c} tensor 1_{m_c}  via
-eigenspaces of a generic Hermitian element aligned by polar decompositions.
-Every stage verifies its residual and raises NumericalFailureError instead of
-returning a silently wrong decomposition.
+Everything else rests on one primitive, the commutant: the operators that
+commute with a set and its adjoints form the kernel of a positive
+semidefinite s^2 x s^2 operator, found with one Hermitian eigensolve.  The
+algebra generated by the operators is their bicommutant.  Its commutant has
+the form  (+)_c 1_{d_c} tensor M_{m_c},  so a generic Hermitian element of it
+has eigenspaces C^{d_c} tensor e_k; commutant elements link the eigenspaces
+of one block, and polar factors of their cross blocks align the eigenspaces
+into product coordinates Q_c tensor N_c (Murota, Kanno, Kojima & Kojima,
+Japan J. Indust. Appl. Math. 27, 2010).  Every stage verifies its residual
+and raises NumericalFailureError instead of returning a silently wrong
+decomposition.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -141,13 +145,36 @@ def _orthonormalize(ops: np.ndarray, rtol: float) -> np.ndarray:
     return vh[keep].reshape(-1, *ops.shape[1:])
 
 
+def _commutant(ops: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Orthonormal basis of the operators commuting with every op and its adjoint.
+
+    ``ops`` should be (close to) orthonormal.  The commutant is the kernel of
+    L = sum_G ad_G^dag ad_G over G in ops and their adjoints, ad_G X = GX - XG.
+    With row-major vectorization ad_G = G (x) 1 - 1 (x) G^T, and over an
+    adjoint-closed set  L = S (x) 1 + 1 (x) S^T - 2 sum_G G (x) conj(G)  with
+    S = sum_G G^dag G.  Eigenvalues up to ``tol`` times the largest count as
+    zero.
+    """
+    ops = np.concatenate([ops, ops.conj().swapaxes(-1, -2)])
+    k, s, _ = ops.shape
+    gram = np.einsum("xji,xjk->ik", ops.conj(), ops)
+    eye = np.eye(s)
+    flat = ops.reshape(k, s * s)
+    cross = (flat.T @ flat.conj()).reshape(s, s, s, s).transpose(0, 2, 1, 3)
+    lap = np.kron(gram, eye) + np.kron(eye, gram.T) - 2.0 * cross.reshape(s * s, s * s)
+    w, v = np.linalg.eigh(hermitize(lap))
+    keep = w <= tol * max(w[-1], 1.0)
+    return v[:, keep].T.reshape(-1, s, s)
+
+
 def generate_algebra(ops, rho_a, tol: float = 1e-9) -> AlgebraBasis:
-    """Closure of support-normalized steered operators into a *-algebra.
+    """The *-algebra generated by support-normalized steered operators.
 
     ``ops`` is an iterable of operators on A; ``rho_a`` the marginal state
     there.  Operators are compressed onto the support of ``rho_a``, normalized
-    by rho_a^{-1/2} on both sides, split into modular spectral components
-    (see the module docstring), and closed under products and adjoints.
+    by rho_a^{-1/2} on both sides and split into modular spectral components
+    (see the module docstring).  Together with the identity they generate the
+    algebra, returned as their bicommutant.
     """
     mat = rho_a.matrix if isinstance(rho_a, DensityMatrix) else np.asarray(rho_a, dtype=complex)
     d = mat.shape[0]
@@ -176,69 +203,9 @@ def generate_algebra(ops, rho_a, tol: float = 1e-9) -> AlgebraBasis:
             part = np.where(mask, g, 0.0)
             if np.max(np.abs(part)) > tol:
                 components.append(part)
-    basis = _orthonormalize(np.stack(generators + components), tol)
-
-    for _ in range(s * s + 1):
-        products = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, s, s)
-        adjoints = basis.conj().swapaxes(-1, -2)
-        candidates = np.concatenate([basis, adjoints, products])
-        refreshed = _orthonormalize(candidates, tol)
-        if len(refreshed) == len(basis):
-            basis = refreshed
-            break
-        basis = refreshed
-    else:
-        raise NumericalFailureError("algebra closure did not stabilize")
+    spanned = _orthonormalize(np.stack(generators + components), tol)
+    basis = _commutant(_commutant(spanned, tol), tol)
     return AlgebraBasis(basis=basis, support=support, support_eigs=eigs)
-
-
-def _hermitian_embedding(ops: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates for Hermitian matrices (batched)."""
-    d = ops.shape[-1]
-    iu = np.triu_indices(d, k=1)
-    diag = np.real(ops[..., np.arange(d), np.arange(d)])
-    upper = ops[..., iu[0], iu[1]]
-    return np.concatenate([diag, np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag], axis=-1)
-
-
-def _hermitian_from_embedding(vec: np.ndarray, d: int) -> np.ndarray:
-    iu = np.triu_indices(d, k=1)
-    n_off = iu[0].size
-    m = np.zeros((d, d), dtype=complex)
-    m[np.arange(d), np.arange(d)] = vec[:d]
-    upper = (vec[d:d + n_off] + 1j * vec[d + n_off:]) / np.sqrt(2)
-    m[iu] = upper
-    m[iu[1], iu[0]] = upper.conj()
-    return m
-
-
-def _hermitian_spanning_set(basis: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
-    """Hermitian orthonormal matrices with the same complex span as ``basis``."""
-    herm = np.concatenate([hermitize(basis), hermitize(-1j * basis)])
-    emb = _hermitian_embedding(herm)
-    _, s, vh = np.linalg.svd(emb, full_matrices=False)
-    keep = s > rtol * s[0]
-    d = basis.shape[-1]
-    return np.stack([_hermitian_from_embedding(row, d) for row in vh[keep]])
-
-
-def _center_elements(herm: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
-    """Hermitian basis of the center, via the commutator nullspace.
-
-    Row j of the constraint matrix is the flattened stack of commutators
-    [G_j, G_i] over all i; coefficient vectors c with c . rows = 0 give the
-    central elements sum_j c_j G_j.
-    """
-    k = len(herm)
-    comms = np.einsum("jab,ibc->jiac", herm, herm) - np.einsum("iab,jbc->jiac", herm, herm)
-    rows = np.concatenate([comms.real.reshape(k, -1), comms.imag.reshape(k, -1)], axis=1)
-    u, s, _ = np.linalg.svd(rows, full_matrices=False)
-    # commutators of orthonormal operators are O(1) when genuine; anything at
-    # roundoff scale is noise even when it is the largest value present
-    cutoff = max(rtol * (s[0] if s.size else 0.0), 1e-10)
-    rank = int(np.sum(s > cutoff))
-    null = u[:, rank:].T  # left-nullspace coefficient vectors, orthonormal
-    return np.einsum("mi,iab->mab", null, herm)
 
 
 def _group_by_gaps(values: np.ndarray, gap: float) -> list[np.ndarray]:
@@ -252,17 +219,43 @@ def _group_by_gaps(values: np.ndarray, gap: float) -> list[np.ndarray]:
     return [np.array(g, dtype=int) for g in groups]
 
 
-def _polar_unitary(m: np.ndarray) -> tuple[np.ndarray, float]:
-    u, s, vh = np.linalg.svd(m)
-    return u @ vh, float(s.min()) if s.size else 0.0
+def _polar_unitary(m: np.ndarray) -> np.ndarray:
+    u, _, vh = np.linalg.svd(m)
+    return u @ vh
+
+
+def _linked_blocks(spaces: list[np.ndarray], comm: np.ndarray) -> list[np.ndarray] | None:
+    """Group eigenspaces that commutant elements link into blocks.
+
+    For the eigenspaces of a generic Hermitian commutant element, the summed
+    weight  sum_x ||V_i^dag X_x V_j||^2  over an orthonormal commutant basis is
+    1 when V_i, V_j lie in one block and 0 otherwise.  Returns None unless the
+    links form equivalence classes of equal-dimension eigenspaces.
+    """
+    v = np.hstack(spaces)
+    power = (np.abs(v.conj().T @ comm @ v) ** 2).sum(axis=0)
+    edges = np.cumsum([0] + [sp.shape[1] for sp in spaces])
+    link = np.add.reduceat(np.add.reduceat(power, edges[:-1], axis=0), edges[:-1], axis=1)
+    adj = link > 0.5
+    blocks: list[np.ndarray] = []
+    seen = np.zeros(len(spaces), dtype=bool)
+    for i in range(len(spaces)):
+        if seen[i]:
+            continue
+        members = np.flatnonzero(adj[i])
+        if (not adj[i, i] or not (adj[members] == adj[i]).all()
+                or len({spaces[k].shape[1] for k in members}) != 1):
+            return None
+        seen[members] = True
+        blocks.append(members)
+    return blocks
 
 
 @dataclass(frozen=True, eq=False)
 class AlgebraFactor:
     """One direct summand of a *-algebra: M_{dim_q} tensor 1_{dim_n}."""
 
-    subspace: np.ndarray   # (s, dim_q * dim_n) orthonormal columns
-    factor: np.ndarray     # (D, D) unitary from Q-major product coords to subspace coords
+    subspace: np.ndarray   # (s, dim_q * dim_n) orthonormal columns, Q-major
     dim_q: int
     dim_n: int
 
@@ -271,87 +264,54 @@ def decompose_algebra(basis: np.ndarray | AlgebraBasis, seed: int = 0) -> list[A
     """Split a *-algebra into matrix-factor blocks M_{d_c} tensor 1_{m_c}.
 
     ``basis`` is a stack of orthonormal operators spanning the algebra (an
-    :class:`AlgebraBasis` is also accepted).  Generic elements are drawn from
-    a seeded generator; eigenvalue clusters separated by less than 1e-7
-    trigger a redraw, and persistent failures raise NumericalFailureError.
+    :class:`AlgebraBasis` is also accepted).  The commutant of the algebra is
+    (+)_c 1_{d_c} tensor M_{m_c}.  A generic Hermitian element of it, drawn
+    from a seeded generator, has the eigenspaces C^{d_c} tensor e_k; commutant
+    elements that link two eigenspaces put them in one block, and the polar
+    factor of the largest such link aligns each eigenspace to the block's
+    first.  The block's columns come out in Q-major product order.  Eigenvalue
+    clusters closer than 1e-7 that break this structure trigger a redraw, and
+    persistent failures raise NumericalFailureError.
     """
     if isinstance(basis, AlgebraBasis):
         basis = basis.basis
     basis = np.asarray(basis, dtype=complex)
     s = basis.shape[-1]
+    comm = _commutant(basis)
     rng = seed_rng(seed, "algebra-split")
-    herm = _hermitian_spanning_set(basis)
-    centers = _center_elements(herm)
-    n_blocks = len(centers)
-    if n_blocks == 0:
-        raise NumericalFailureError("algebra center came out empty")
 
-    subspaces: list[np.ndarray] | None = None
     for _ in range(MAX_REDRAWS):
-        z = np.einsum("m,mab->ab", rng.normal(size=n_blocks), centers)
-        w, v = np.linalg.eigh(hermitize(z))
-        groups = _group_by_gaps(w, EIGEN_GAP)
-        if len(groups) == n_blocks:
-            subspaces = [v[:, g] for g in groups]
+        coeff = rng.normal(size=len(comm)) + 1j * rng.normal(size=len(comm))
+        y = np.tensordot(coeff, comm, axes=1)
+        w, v = np.linalg.eigh(y + y.conj().T)
+        spaces = [v[:, g] for g in _group_by_gaps(w, EIGEN_GAP)]
+        blocks = _linked_blocks(spaces, comm)
+        if blocks is not None and sum(len(b) ** 2 for b in blocks) == len(comm):
             break
-    if subspaces is None:
-        raise NumericalFailureError("could not separate central projectors")
+    else:
+        raise NumericalFailureError("could not resolve the commutant into blocks")
 
-    blocks: list[AlgebraFactor] = []
-    for sub in subspaces:
-        cap = sub.shape[1]
-        comp_h = np.einsum("ia,xij,jb->xab", sub.conj(), herm, sub)
-        comp_c = np.einsum("ia,xij,jb->xab", sub.conj(), basis, sub)
-        split = None
-        for _ in range(MAX_REDRAWS):
-            a = np.einsum("x,xab->ab", rng.normal(size=len(comp_h)), comp_h)
-            w, v = np.linalg.eigh(hermitize(a))
-            clusters = _group_by_gaps(w, EIGEN_GAP)
-            sizes = {len(c) for c in clusters}
-            if len(sizes) == 1 and cap % len(clusters) == 0:
-                split = clusters, v
-                break
-        if split is None:
-            raise NumericalFailureError("could not factorize an algebra block")
-        clusters, v = split
-        dim_q = len(clusters)
-        dim_n = cap // dim_q
-
-        if dim_q == 1:
-            factor = np.eye(cap, dtype=complex)
-        else:
-            eigvecs = [v[:, c] for c in clusters]  # each (cap, dim_n)
-            aligned = None
-            for _ in range(MAX_REDRAWS):
-                coeff = rng.normal(size=len(comp_c)) + 1j * rng.normal(size=len(comp_c))
-                g = np.einsum("x,xab->ab", coeff, comp_c)
-                units = [np.eye(dim_n, dtype=complex)]
-                ok = True
-                for k in range(1, dim_q):
-                    u, smin = _polar_unitary(eigvecs[k].conj().T @ g @ eigvecs[0])
-                    if smin < 1e-10:
-                        ok = False
-                        break
-                    units.append(u)
-                if ok:
-                    aligned = units
-                    break
-            if aligned is None:
-                raise NumericalFailureError("could not align block multiplicity bases")
-            factor = np.hstack([eigvecs[k] @ aligned[k] for k in range(dim_q)])
+    factors: list[AlgebraFactor] = []
+    for members in blocks:
+        first = spaces[members[0]]
+        aligned = [first]
+        for k in members[1:]:
+            cross = spaces[k].conj().T @ comm @ first
+            link = cross[np.argmax(np.linalg.norm(cross, axis=(1, 2)))]
+            aligned.append(spaces[k] @ _polar_unitary(link))
+        dim_q, dim_n = first.shape[1], len(members)
+        sub = np.stack(aligned, axis=2).reshape(s, dim_q * dim_n)
 
         # verify the factorization: every basis element must compress to q tensor 1
-        worst = 0.0
-        for m in comp_c:
-            t = (factor.conj().T @ m @ factor).reshape(dim_q, dim_n, dim_q, dim_n)
-            qpart = np.einsum("injn->ij", t) / dim_n
-            model = np.einsum("ij,nm->injm", qpart, np.eye(dim_n))
-            worst = max(worst, float(np.max(np.abs(t - model))))
+        t = (sub.conj().T @ basis @ sub).reshape(-1, dim_q, dim_n, dim_q, dim_n)
+        qpart = np.einsum("xinjn->xij", t) / dim_n
+        model = np.einsum("xij,nm->xinjm", qpart, np.eye(dim_n))
+        worst = float(np.max(np.abs(t - model)))
         if worst > FACTOR_RESIDUAL_TOL:
             raise NumericalFailureError(
                 f"block factorization residual {worst:.2e} exceeds {FACTOR_RESIDUAL_TOL}")
-        blocks.append(AlgebraFactor(subspace=sub, factor=factor, dim_q=dim_q, dim_n=dim_n))
-    return blocks
+        factors.append(AlgebraFactor(subspace=sub, dim_q=dim_q, dim_n=dim_n))
+    return factors
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,11 +348,17 @@ class KIDecomposition:
         return np.array([b.prob for b in self.blocks])
 
 
-def _block_state_tensor(block: KIBlock, dim_r: int) -> np.ndarray:
-    """The summand omega tensor mu as a (Q, N, R) x (Q, N, R) tensor."""
-    dq, dn = block.dim_q, block.dim_n
-    omega4 = block.omega.matrix.reshape(dq, dim_r, dq, dim_r)
-    return np.einsum("qrps,nm->qnrpms", omega4, block.mu.matrix)
+def _block_form(blocks, offsets, d_a: int, d_r: int) -> np.ndarray:
+    """The direct sum of p_c omega_c tensor mu_c in KI coordinates, as (A, R, A, R)."""
+    out = np.zeros((d_a, d_r, d_a, d_r), dtype=complex)
+    for block, off in zip(blocks, offsets):
+        dq, dn = block.dim_q, block.dim_n
+        omega4 = block.omega.matrix.reshape(dq, d_r, dq, d_r)
+        part = block.prob * np.einsum("qrps,nm->qnrpms", omega4, block.mu.matrix)
+        d_block = dq * dn
+        out[off:off + d_block, :, off:off + d_block, :] = part.reshape(
+            d_block, d_r, d_block, d_r)
+    return out
 
 
 def ki_decompose(rho: DensityMatrix, system: str | Iterable[str] | None = None,
@@ -425,7 +391,7 @@ def ki_decompose(rho: DensityMatrix, system: str | Iterable[str] | None = None,
     t4 = work.matrix.reshape(d_a, d_r, d_a, d_r)
     raw = []
     for fac in factors:
-        iso = support @ fac.subspace @ fac.factor      # (d_a, D) columns
+        iso = support @ fac.subspace  # (d_a, D) columns
         dq, dn = fac.dim_q, fac.dim_n
         blk = np.einsum("ia,irjs,jb->arbs", iso.conj(), t4, iso)
         t6 = blk.reshape(dq, dn, d_r, dq, dn, d_r)
@@ -462,14 +428,8 @@ def ki_decompose(rho: DensityMatrix, system: str | Iterable[str] | None = None,
         offset += dq * dn
 
     # reconstruction residual in the original frame
-    recon = np.zeros((d_a, d_r, d_a, d_r), dtype=complex)
     rho_ki = np.einsum("pa,arbs,qb->prqs", u_ki, t4, u_ki.conj())
-    for block, off in zip(blocks, offsets):
-        d_block = block.dim_q * block.dim_n
-        part = block.prob * _block_state_tensor(block, d_r)
-        recon[off:off + d_block, :, off:off + d_block, :] = part.reshape(
-            d_block, d_r, d_block, d_r)
-    diff = (rho_ki - recon).reshape(d_a * d_r, d_a * d_r)
+    diff = (rho_ki - _block_form(blocks, offsets, d_a, d_r)).reshape(d_a * d_r, d_a * d_r)
     resid = float(0.5 * np.abs(np.linalg.eigvalsh(hermitize(diff))).sum())
     if resid > RECONSTRUCTION_TOL:
         raise NumericalFailureError(
@@ -532,11 +492,6 @@ def reverse_ki_channel(kid: KIDecomposition) -> QuantumChannel:
 def ki_state(kid: KIDecomposition) -> DensityMatrix:
     """The decomposed state assembled in KI coordinates, label order (A, R)."""
     d_a, d_r = kid.dim_a, kid.dim_r
-    out = np.zeros((d_a, d_r, d_a, d_r), dtype=complex)
-    for block, off in zip(kid.blocks, kid.offsets):
-        d_block = block.dim_q * block.dim_n
-        part = block.prob * _block_state_tensor(block, d_r)
-        out[off:off + d_block, :, off:off + d_block, :] = part.reshape(
-            d_block, d_r, d_block, d_r)
+    out = _block_form(kid.blocks, kid.offsets, d_a, d_r)
     space = TensorSpace.of(("A", d_a), ("R", d_r))
     return DensityMatrix(space, out.reshape(d_a * d_r, d_a * d_r))

@@ -55,23 +55,6 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def orthonormal_operator_basis(ops: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
-    """Orthonormalize a stack of operators in the Hilbert-Schmidt inner product.
-
-    ``ops`` has shape (k, d, d).  Returns (r, d, d) with r the numerical rank
-    of the span; rows are orthonormal under ``<a, b> = Tr[a^dag b]``.
-    """
-    ops = np.asarray(ops)
-    if ops.size == 0:
-        return ops.reshape(0, *ops.shape[1:])
-    flat = ops.reshape(len(ops), -1)
-    _, s, vh = np.linalg.svd(flat, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
-        return ops[:0]
-    keep = s > rtol * s[0]
-    return vh[keep].reshape(-1, *ops.shape[1:])
-
-
 def phase_fixed_qr(a: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the columns of ``a`` (batched).
 

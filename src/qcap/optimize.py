@@ -8,23 +8,11 @@ deterministic objective.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
 
 Objective = Callable[[np.ndarray], np.ndarray]
-
-
-def thread_count() -> int:
-    """Worker count from the QCAP_THREADS environment variable (default 1)."""
-    raw = os.environ.get("QCAP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def _chunked_eval(objective: Objective, batch: np.ndarray, chunk: int) -> np.ndarray:
@@ -78,14 +66,5 @@ def maximize(objective: Objective, theta0: np.ndarray, *, max_iters: int = 80,
 
 def best_of_starts(objective: Objective, starts: Sequence[np.ndarray],
                    **kwargs) -> list[tuple[np.ndarray, float]]:
-    """Run :func:`maximize` from every start, preserving start order.
-
-    Runs are dispatched over QCAP_THREADS workers; results are merged in
-    start order, so the outcome does not depend on the worker count.
-    """
-    workers = thread_count()
-    if workers == 1 or len(starts) <= 1:
-        return [maximize(objective, s, **kwargs) for s in starts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(maximize, objective, s, **kwargs) for s in starts]
-        return [f.result() for f in futures]
+    """Run :func:`maximize` from every start, preserving start order."""
+    return [maximize(objective, s, **kwargs) for s in starts]

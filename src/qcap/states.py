@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import (
     SUPPORT_CUTOFF,
-    binary_entropy,  # noqa: F401  (re-exported convenience)
     entropy_from_probs,
     hermitize,
     sqrt_psd,

@@ -91,6 +91,15 @@ def test_intersect_interior_crossing():
     assert r_q == pytest.approx(0.25, abs=1e-9)
     assert r_c == pytest.approx(0.75, abs=1e-9)
     assert r_c == pytest.approx(curve.value_at(r_q), abs=1e-9)
+    # three vertices: the unit ray crosses the second segment, r_c = 1.6 - 1.6 r_q
+    pts = (CurvePoint(0.0, 1.0, None, None, True),
+           CurvePoint(0.5, 0.8, 0.5, None, False),
+           CurvePoint(1.0, 0.0, 1.0, None, False))
+    curve = TradeoffCurve(level_l=1, points=pts, achieved=pts,
+                          c_q_endpoint=1.0, c_c_endpoint=1.0)
+    r_q, r_c = intersect(curve, Slope(1.0))
+    assert r_q == pytest.approx(8.0 / 13.0, abs=1e-12)
+    assert r_c == pytest.approx(8.0 / 13.0, abs=1e-12)
 
 
 def test_capacity_report_fields():

@@ -37,10 +37,17 @@ def build_planted(seed: int):
         total += dq * dn
     if not dims:
         dims = [(1, 1)]
-        total = 1
     dead = int(rng.integers(0, 2))
-    d_a = total + dead
     d_r = max(max(d for d, _ in dims) + int(rng.integers(0, 2)), 2)
+    return plant(rng, dims, dead, d_r)
+
+
+def plant(rng, dims, dead: int, d_r: int):
+    """Blocks of the given (dim_q, dim_n) shapes plus ``dead`` slack dimensions.
+
+    Returns the same tuple as :func:`build_planted`.
+    """
+    d_a = sum(dq * dn for dq, dn in dims) + dead
     p = rng.dirichlet(np.ones(len(dims)) * 3.0)
     m = np.zeros((d_a, d_r, d_a, d_r), dtype=complex)
     off = 0
@@ -239,3 +246,23 @@ def test_hermitian_basis_spans():
         assert b == pytest.approx(hermitize(b), abs=1e-14)
     flat = basis.reshape(9, 9)
     assert np.linalg.matrix_rank(flat) == 9
+
+
+def test_larger_dimensions():
+    # planted structures at d_A = 16 and 24, and a generic state at d_A = 16
+    rng = seed_rng(2, "planted-large")
+    cases = [plant(rng, [(3, 2), (2, 3), (4, 1)], 0, 4),
+             plant(rng, [(4, 2), (3, 3), (2, 2), (1, 2)], 1, 4)]
+    generic = random_state([("A", 16), ("R", 2)], rng)
+    s_a = entropy_of_matrix(partial_trace(generic, "A").matrix)
+    cases.append((generic, [(16, 1, 1.0)], 0, (0.0, s_a)))
+    for rho, expected, dead, planted in cases:
+        kid = ki_decompose(rho, seed=2)
+        got = sorted((b.dim_q, b.dim_n, b.prob) for b in kid.blocks)
+        exp = sorted(expected)
+        assert [g[:2] for g in got] == [e[:2] for e in exp]
+        assert [g[2] for g in got] == pytest.approx([e[2] for e in exp], abs=1e-8)
+        assert kid.dead_dim == dead
+        assert kid.reconstruction_error <= 1e-8
+        assert kid.s_c == pytest.approx(planted[0], abs=1e-8)
+        assert kid.s_q_given_c == pytest.approx(planted[1], abs=1e-8)
