@@ -187,34 +187,37 @@ class _GadgetProblem:
         return self.params_of(u0)
 
     def evaluate(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Objective values and fidelities for a parameter batch."""
+        """Objective values and fidelities for a parameter batch.
+
+        Every reduced state is a Gram matrix of the weighted branch outputs
+        sqrt(p_x) (U tensor 1_{RR'}) |x>|omega_x>.  The E- and C'-traced state
+        rho_y on hatC hatQ R R' is formed once; the hatC and hatC hatQ R
+        marginals are its partial traces.
+        """
         src = self.src
         iso = self.isometries(np.asarray(thetas, dtype=float))
         b = iso.shape[0]
         c, qd, r, rp = src.dim_c, src.dim_q, src.dim_r, src.dim_rp
-        cq, e = src.dim_cq, self.dim_e
-        cols = iso.reshape(b, self.dim_out, c, qd)
-        branch = src.branches.reshape(c, qd, r * rp)
-        # phi[b, x, out, w]: branch x pushed through the isometry, w = RR'
-        phi = np.einsum("boxq,xqw->bxow", cols, branch)
-
-        phi_y = phi.reshape(b, c, cq, e, r * rp)
-        rho_y = np.einsum("x,bxaew,bxcev->bawcv", src.probs, phi_y, phi_y.conj())
-        d_y = cq * r * rp
-        s_y = batched_entropy(rho_y.reshape(b, d_y, d_y))
-
-        phi_c = phi.reshape(b, c, c, qd * e * r * rp)
+        cq, e, w = src.dim_cq, self.dim_e, src.dim_r * src.dim_rp
+        # phi[b, x, (a, e), w]: branch x pushed through the isometry, w = RR'
+        phi = iso.reshape(b, self.dim_out, c, qd).transpose(0, 2, 1, 3) \
+            @ src.branches.reshape(c, qd, w)
+        phi *= np.sqrt(src.probs)[:, None, None]
+        if self.kind == "W":
+            # per branch p_x rho_x^{hatC}; the entropy normalizes away the weight
+            per_x = phi.reshape(b, c, c, qd * e * w)
+            value = batched_entropy(per_x @ per_x.conj().swapaxes(-1, -2)) @ src.probs
+        # g[b, (a, w), (x, e)], so rho_y = g g^dagger and the C'E output is g^dagger g
+        g = phi.reshape(b, c, cq, e, w).transpose(0, 2, 4, 1, 3).reshape(b, cq * w, c * e)
+        del phi
+        g_h = g.conj().swapaxes(1, 2)
+        rho_y = g @ g_h
         if self.kind == "Y":
-            rho_c = np.einsum("x,bxcw,bxdw->bcd", src.probs, phi_c, phi_c.conj())
+            s_y = batched_entropy(rho_y if cq * w <= c * e else g_h @ g)
+            rho_c = np.trace(rho_y.reshape(b, c, qd * w, c, qd * w), axis1=2, axis2=4)
             value = s_y - batched_entropy(rho_c)
-        else:
-            rho_xc = np.einsum("bxcw,bxdw->bxcd", phi_c, phi_c.conj())
-            value = np.einsum("x,bx->b", src.probs, batched_entropy(rho_xc))
-
-        phi_f = phi.reshape(b, c, cq, e, r, rp)
-        rho_f = np.einsum("x,bxaerw,bxcesw->barcs", src.probs, phi_f, phi_f.conj())
-        d_f = cq * r
-        m = self.target_sqrt[None] @ rho_f.reshape(b, d_f, d_f) @ self.target_sqrt[None]
+        rho_f = np.trace(rho_y.reshape(b, cq * r, rp, cq * r, rp), axis1=2, axis2=4)
+        m = self.target_sqrt[None] @ rho_f @ self.target_sqrt[None]
         eigs = np.clip(np.linalg.eigvalsh(hermitize(m)), 0.0, None)
         fid = np.minimum(np.sqrt(eigs).sum(axis=1), 1.0)
         return value, fid

@@ -11,8 +11,12 @@ generalized information of the ensemble splits as
 where rho_x is the A-marginal of the branch psi_x.  With a trivial reference
 this reduces to the Holevo quantity of the induced classical-quantum ensemble,
 and a single-entry ensemble reduces to coherent information of its branch.
-All branch entropies are computed directly; the classical index never enters
-as an explicit tensor factor.
+The classical index never enters as an explicit tensor factor.  Each branch
+psi_x is pure, so S((N tensor id_R)(psi_x)) equals the entropy of the
+complementary output E_jk = Tr[K_j rho_x K_k^dagger] (Devetak & Shor, CMP
+256, 2005); the smaller of the two Gram matrices is diagonalized.  With a
+trivial reference (d_R = 1) S(BR) is S(B) itself, so the Holevo reduction
+r_q = 0 holds exactly.
 """
 from __future__ import annotations
 
@@ -102,21 +106,28 @@ class GeneralizedInfo(NamedTuple):
     r_q: float
 
 
-def _branch_outputs(ensemble: CQEnsemble, channel: QuantumChannel):
-    """Per-branch channel outputs sigma_x^{BR}, sigma_x^B, and their average."""
-    if channel.dim_in != ensemble.dim_a:
-        raise DimensionMismatchError(
-            f"channel input dimension {channel.dim_in} differs from "
-            f"ensemble A dimension {ensemble.dim_a}")
-    kraus = np.stack(channel.kraus)  # (K, dB, dA)
-    psi = ensemble.vectors.reshape(ensemble.size, ensemble.dim_a, ensemble.dim_r)
-    phi = np.einsum("kba,xar->xkbr", kraus, psi)
-    sigma_br = np.einsum("xkbr,xkcs->xbrcs", phi, phi.conj())
-    d_br = channel.dim_out * ensemble.dim_r
-    sigma_br = sigma_br.reshape(ensemble.size, d_br, d_br)
-    sigma_b = np.einsum("xkbr,xkcr->xbc", phi, phi.conj())
-    avg_b = np.einsum("x,xbc->bc", ensemble.probs, sigma_b)
-    return sigma_br, sigma_b, avg_b
+def _branch_outputs(kraus: np.ndarray, probs: np.ndarray, psi: np.ndarray):
+    """(avg sigma^B, sigma_x^B, joint_x) for kraus (K, d_B, d_A), probs (..., n)
+    and psi (..., n, d_A, d_R).
+
+    ``joint_x`` has the spectrum of sigma_x^{BR}: it is the complementary output
+    E_jk = Tr[phi_j phi_k^dagger], phi_k = K_k psi_x, when K < d_B d_R, and
+    sigma_x^{BR} otherwise.  For d_R = 1 it is the sigma_x^B array itself.
+    """
+    n_k, d_b, d_a = kraus.shape
+    lead, d_r = psi.shape[:-2], psi.shape[-1]
+    phi = kraus.reshape(n_k * d_b, d_a) @ psi  # (..., K d_B, d_R)
+    m = phi.reshape(*lead, n_k, d_b, d_r).swapaxes(-3, -2).reshape(*lead, d_b, n_k * d_r)
+    sigma_b = m @ m.conj().swapaxes(-1, -2)
+    avg_b = (probs[..., None, None] * sigma_b).sum(axis=-3)
+    if d_r == 1:
+        return avg_b, sigma_b, sigma_b
+    phi = phi.reshape(*lead, n_k, d_b * d_r)
+    if n_k < d_b * d_r:
+        joint = phi @ phi.conj().swapaxes(-1, -2)
+    else:
+        joint = phi.swapaxes(-1, -2) @ phi.conj()
+    return avg_b, sigma_b, joint
 
 
 def generalized_information(ensemble: CQEnsemble, channel: QuantumChannel) -> GeneralizedInfo:
@@ -125,10 +136,15 @@ def generalized_information(ensemble: CQEnsemble, channel: QuantumChannel) -> Ge
     ``r_q`` is returned with its sign; callers interested in achievable rate
     regions should clamp it at zero.
     """
-    sigma_br, sigma_b, avg_b = _branch_outputs(ensemble, channel)
+    if channel.dim_in != ensemble.dim_a:
+        raise DimensionMismatchError(
+            f"channel input dimension {channel.dim_in} differs from "
+            f"ensemble A dimension {ensemble.dim_a}")
+    psi = ensemble.vectors.reshape(ensemble.size, ensemble.dim_a, ensemble.dim_r)
     p = ensemble.probs
-    s_br = batched_entropy(sigma_br)
+    avg_b, sigma_b, joint = _branch_outputs(np.stack(channel.kraus), p, psi)
     s_b = batched_entropy(sigma_b)
+    s_br = s_b if joint is sigma_b else batched_entropy(joint)
     s_avg = entropy_of_matrix(avg_b)
     r_c = float(s_avg - np.dot(p, s_b))
     r_q = float(np.dot(p, s_b - s_br))

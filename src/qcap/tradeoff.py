@@ -13,7 +13,10 @@ ascent over ensemble parameters (squared weights plus normalized complex
 vectors).  Deterministic classical and maximally entangled starting points
 pin the curve endpoints; random restarts and warm starts from neighboring
 weights refine the interior.  Every returned point carries its witness
-ensemble, and re-evaluating a witness reproduces the recorded rates.
+ensemble, and re-evaluating a witness reproduces the recorded rates: the
+optimizer and :func:`qcap.information.generalized_information` share one
+contraction, which takes S((N tensor id)(psi_x)) from the complementary
+output E_jk = Tr[K_j rho_x K_k^dagger] whenever that matrix is the smaller.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from .channels import QuantumChannel, channel_power
 from .errors import NumericalFailureError, ValidationError
-from .information import CQEnsemble, generalized_information
+from .information import CQEnsemble, _branch_outputs, generalized_information
 from .linalg import batched_entropy
 from .optimize import best_of_starts
 from .sampling import seed_rng
@@ -120,13 +123,8 @@ class _EnsembleProblem:
     def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Block (not per-use) values of (r_q, r_c) for a parameter batch."""
         probs, psi = self.components(thetas)
-        phi = np.einsum("kba,xnar->xnkbr", self.kraus, psi)
-        d_br = self.d_b * self.d_r
-        sigma_br = np.einsum("xnkbr,xnkcs->xnbrcs", phi, phi.conj())
-        sigma_br = sigma_br.reshape(len(probs), self.n, d_br, d_br)
-        sigma_b = np.einsum("xnkbr,xnkcr->xnbc", phi, phi.conj())
-        avg_b = np.einsum("xn,xnbc->xbc", probs, sigma_b)
-        s_br = batched_entropy(sigma_br)
+        avg_b, sigma_b, joint = _branch_outputs(self.kraus, probs, psi)
+        s_br = batched_entropy(joint)
         s_b = batched_entropy(sigma_b)
         s_avg = batched_entropy(avg_b)
         r_c = s_avg - (probs * s_b).sum(axis=1)

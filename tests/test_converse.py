@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from qcap.converse import (ConverseOptions, estimate_W, estimate_Y,
+from qcap.converse import (ConverseOptions, _GadgetProblem, estimate_W, estimate_Y,
                            evaluate_isometry, extend_source, gadget_grid)
 from qcap.errors import DimensionMismatchError, ValidationError
+from qcap.linalg import batched_entropy, hermitize
 from qcap.sampling import seed_rng
 from qcap.spaces import TensorSpace
 from qcap.states import DensityMatrix, permute_subsystems
@@ -160,3 +161,63 @@ def test_estimates_are_deterministic():
     b = estimate_Y(src, 0.2, tiny)
     assert a.value == b.value
     assert np.array_equal(a.witness_isometry, b.witness_isometry)
+
+
+def reference_evaluate(problem: _GadgetProblem, thetas: np.ndarray):
+    """(objective, fidelity) by direct index contraction over each branch."""
+    src = problem.src
+    iso = problem.isometries(thetas)
+    b = iso.shape[0]
+    c, qd, r, rp = src.dim_c, src.dim_q, src.dim_r, src.dim_rp
+    cq, e = src.dim_cq, problem.dim_e
+    cols = iso.reshape(b, problem.dim_out, c, qd)
+    branch = src.branches.reshape(c, qd, r * rp)
+    phi = np.einsum("boxq,xqw->bxow", cols, branch)
+
+    phi_y = phi.reshape(b, c, cq, e, r * rp)
+    rho_y = np.einsum("x,bxaew,bxcev->bawcv", src.probs, phi_y, phi_y.conj())
+    d_y = cq * r * rp
+    s_y = batched_entropy(rho_y.reshape(b, d_y, d_y))
+
+    phi_c = phi.reshape(b, c, c, qd * e * r * rp)
+    if problem.kind == "Y":
+        rho_c = np.einsum("x,bxcw,bxdw->bcd", src.probs, phi_c, phi_c.conj())
+        value = s_y - batched_entropy(rho_c)
+    else:
+        rho_xc = np.einsum("bxcw,bxdw->bxcd", phi_c, phi_c.conj())
+        value = np.einsum("x,bx->b", src.probs, batched_entropy(rho_xc))
+
+    phi_f = phi.reshape(b, c, cq, e, r, rp)
+    rho_f = np.einsum("x,bxaerw,bxcesw->barcs", src.probs, phi_f, phi_f.conj())
+    d_f = cq * r
+    m = problem.target_sqrt[None] @ rho_f.reshape(b, d_f, d_f) @ problem.target_sqrt[None]
+    eigs = np.clip(np.linalg.eigvalsh(hermitize(m)), 0.0, None)
+    return value, np.minimum(np.sqrt(eigs).sum(axis=1), 1.0)
+
+
+def mixed_ebit(seed: int = 0) -> DensityMatrix:
+    """One classical sector holding a full-rank qubit pair: d_R' = 4."""
+    rng = seed_rng(seed, "mixed-ebit")
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    blk = a @ a.conj().T
+    return cqr_state((1, 2, 2), blk / np.trace(blk).real)
+
+
+def test_gadget_evaluate_matches_direct_contraction():
+    sources = {"uniform bit": classical_bit(0.5),
+               "pure ebit": pure_ebit(),
+               "mixed ebit": mixed_ebit(),
+               "two mixed blocks": two_block_mixed(),
+               "zero-weight block": classical_bit(1.0)}
+    for name, state in sources.items():
+        src = extend_source(state)
+        for kind in ("Y", "W"):
+            problem = _GadgetProblem(src, kind)
+            thetas = seed_rng(4, "gadget-oracle", name, kind).normal(size=(64, problem.n_params))
+            value, fid = problem.evaluate(thetas)
+            ref_value, ref_fid = reference_evaluate(problem, thetas)
+            assert value == pytest.approx(ref_value, abs=1e-12), (name, kind)
+            # a fidelity sums square roots of eigenvalues near zero
+            assert fid == pytest.approx(ref_fid, abs=1e-7), (name, kind)
+    assert extend_source(classical_bit(1.0)).probs[1] == 0.0
+    assert extend_source(mixed_ebit()).dim_rp == 4

@@ -5,14 +5,15 @@ import pytest
 from qcap.channels import (apply_channel, dephasing_channel,
                            depolarizing_channel, identity_channel)
 from qcap.errors import DimensionMismatchError, ValidationError
-from qcap.information import (CQEnsemble, coherent_information,
+from qcap.information import (CQEnsemble, _branch_outputs, coherent_information,
                               data_processing_gap, generalized_information,
                               holevo_information)
-from qcap.linalg import binary_entropy
+from qcap.linalg import batched_entropy, binary_entropy
 from qcap.sampling import random_channel, seed_rng
 from qcap.spaces import TensorSpace
 from qcap.states import (DensityMatrix, PureState, entropy, partial_trace,
                          maximally_entangled)
+from qcap.tradeoff import _EnsembleProblem
 
 
 def classical_bit_ensemble(dim_r: int = 1) -> CQEnsemble:
@@ -194,3 +195,49 @@ def test_data_processing_never_negative():
         chan = random_channel(2, 2, 2, seed_rng(2, "dpi-chan", i))
         post = random_channel(2, 2, 2, seed_rng(2, "dpi-post", i))
         assert data_processing_gap(ens, chan, post) >= -1e-9
+
+
+def test_holevo_reduction_exact_on_every_channel_shape():
+    # S(BR) of a trivial reference is S(B) itself, also where K < d_B
+    for d_a, d_b, k in ((2, 2, 1), (2, 3, 2), (2, 4, 2), (2, 2, 2), (2, 2, 3)):
+        for i in range(25):
+            rng = seed_rng(1, "red-holevo-shapes", d_b, k, i)
+            chan = random_channel(d_a, d_b, k, rng)
+            probs = rng.dirichlet(np.ones(4))
+            vecs = rng.normal(size=(4, d_a)) + 1j * rng.normal(size=(4, d_a))
+            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+            gi = generalized_information(CQEnsemble(d_a, 1, probs, vecs), chan)
+            assert gi.r_q == 0.0
+
+
+def test_branch_outputs_match_channel_oracle():
+    # K below, at and above d_B d_R, so both Gram factors are exercised
+    for d_a, d_b, d_r, k in ((2, 2, 2, 2), (2, 2, 2, 4), (2, 2, 2, 6),
+                             (2, 3, 3, 2), (3, 2, 2, 5)):
+        rng = seed_rng(3, "branch-oracle", d_a, d_b, d_r, k)
+        chan = random_channel(d_a, d_b, k, rng)
+        probs = rng.dirichlet(np.ones(3))
+        vecs = rng.normal(size=(3, d_a * d_r)) + 1j * rng.normal(size=(3, d_a * d_r))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        psi = vecs.reshape(3, d_a, d_r)
+        avg_b, sigma_b, joint = _branch_outputs(np.stack(chan.kraus), probs, psi)
+        assert joint.shape[-1] == min(k, d_b * d_r)
+        space = TensorSpace.of(("A", d_a), ("R", d_r))
+        outs = [apply_channel(chan, PureState(space, v).density(), target="A") for v in vecs]
+        for x, out in enumerate(outs):
+            assert batched_entropy(joint[x]) == pytest.approx(entropy(out), abs=1e-12)
+            assert sigma_b[x] == pytest.approx(partial_trace(out, "A").matrix, abs=1e-12)
+        expected_avg = sum(p * partial_trace(o, "A").matrix for p, o in zip(probs, outs))
+        assert avg_b == pytest.approx(expected_avg, abs=1e-12)
+
+
+def test_ensemble_rates_match_generalized_information():
+    for d_b, k in ((2, 2), (2, 4), (2, 5), (3, 2)):
+        chan = random_channel(2, d_b, k, seed_rng(3, "rates-oracle-chan", d_b, k))
+        problem = _EnsembleProblem(chan, 1)
+        thetas = seed_rng(3, "rates-oracle", d_b, k).normal(size=(8, problem.n_params))
+        r_q, r_c = problem.rates(thetas)
+        for i, theta in enumerate(thetas):
+            gi = generalized_information(problem.ensemble_of(theta), chan)
+            assert r_q[i] == pytest.approx(gi.r_q, abs=1e-12)
+            assert r_c[i] == pytest.approx(gi.r_c, abs=1e-12)
