@@ -35,10 +35,11 @@ from .errors import DimensionMismatchError, ValidationError
 from .linalg import batched_entropy, hermitize, phase_fixed_qr, sqrt_psd
 from .optimize import maximize
 from .sampling import seed_rng
-from .states import DensityMatrix, permute_subsystems
+from .states import DensityMatrix, block_form
 
-BLOCK_TOL = 1e-10
 FEASIBILITY_SLACK = 1e-6
+INIT_STEP = 0.2
+KAPPA0 = 10.0
 MAX_CQ = 4
 MAX_EPSILON = 0.5
 
@@ -50,10 +51,7 @@ class ConverseOptions:
     restarts: int = 3
     iters_per_stage: int = 25
     stages: int = 4
-    kappa0: float = 10.0
     seed: int = 0
-    grad_step: float = 1e-5
-    init_step: float = 0.2
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,47 +85,16 @@ def extend_source(state: DensityMatrix, c_label: str = "C", q_label: str = "Q",
     rank.  The product |C||Q| is capped at 4 to keep the isometry search
     tractable.
     """
-    wanted = (c_label, q_label, r_label)
-    if set(state.space.labels) != set(wanted) or len(state.space.labels) != 3:
-        raise ValidationError(
-            f"source must carry exactly the labels {wanted}, got {state.space.labels}")
-    work = state if state.space.labels == wanted else permute_subsystems(state, wanted)
+    work, probs, branch_mats = block_form(state, (c_label, q_label, r_label))
     d_c, d_q, d_r = work.space.dims
     if d_c * d_q > MAX_CQ:
         raise ValidationError(
             f"|C| * |Q| = {d_c * d_q} exceeds the supported limit {MAX_CQ}")
-    t4 = work.matrix.reshape(d_c, d_q * d_r, d_c, d_q * d_r)
-    off = 0.0
-    for c in range(d_c):
-        for cp in range(d_c):
-            if c != cp:
-                off = max(off, float(np.max(np.abs(t4[c, :, cp, :]))))
-    if off > BLOCK_TOL:
-        raise ValidationError(
-            f"state is not block diagonal over {c_label!r}: off-block weight {off:.2e}")
-
-    probs = np.array([float(np.trace(t4[c, :, c, :]).real) for c in range(d_c)])
-    if np.any(probs < -BLOCK_TOL):
-        raise ValidationError("negative block weight")
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-
-    branch_mats = []
-    ranks = []
-    for c in range(d_c):
-        if probs[c] > 1e-14:
-            m = hermitize(t4[c, :, c, :]) / probs[c]
-        else:
-            m = np.zeros((d_q * d_r, d_q * d_r), dtype=complex)
-            m[0, 0] = 1.0
-        branch_mats.append(m)
-        w = np.linalg.eigvalsh(m)
-        ranks.append(max(int(np.sum(w > 1e-12)), 1))
-    d_rp = max(ranks)
+    eigs = [np.linalg.eigh(m) for m in branch_mats]
+    d_rp = max(max(int(np.sum(w > 1e-12)), 1) for w, _ in eigs)
 
     branches = np.zeros((d_c, d_q * d_r, d_rp), dtype=complex)
-    for c, m in enumerate(branch_mats):
-        w, v = np.linalg.eigh(m)
+    for c, (w, v) in enumerate(eigs):
         keep = np.argsort(w)[::-1][:d_rp]
         w_k = np.clip(w[keep], 0.0, None)
         branches[c] = v[:, keep] * np.sqrt(w_k)[None, :]
@@ -253,7 +220,7 @@ def _estimate(source: ExtendedSource, kind: str, epsilon: float,
     def ascend(theta0: np.ndarray) -> np.ndarray:
         theta = theta0
         for stage in range(opts.stages):
-            kappa = opts.kappa0 * (10.0 ** stage)
+            kappa = KAPPA0 * (10.0 ** stage)
 
             def objective(batch: np.ndarray) -> np.ndarray:
                 value, fid = problem.evaluate(batch)
@@ -261,8 +228,7 @@ def _estimate(source: ExtendedSource, kind: str, epsilon: float,
                 return value - kappa * shortfall ** 2
 
             theta, _ = maximize(objective, theta, max_iters=opts.iters_per_stage,
-                                grad_step=opts.grad_step, init_step=opts.init_step,
-                                chunk=problem.chunk)
+                                init_step=INIT_STEP, chunk=problem.chunk)
         return theta
 
     ascended = [ascend(theta) for theta in starts]

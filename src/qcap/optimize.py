@@ -8,11 +8,15 @@ deterministic objective.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 Objective = Callable[[np.ndarray], np.ndarray]
+
+GRAD_STEP = 1e-5    # finite-difference half-width
+MIN_STEP = 1e-9     # give up once the step ladder shrinks below this
+FTOL = 1e-10        # gains below this count as a stall; four stalls in a row stop
 
 
 def _chunked_eval(objective: Objective, batch: np.ndarray, chunk: int) -> np.ndarray:
@@ -31,16 +35,14 @@ def _gradient(objective: Objective, theta: np.ndarray, h: float, chunk: int) -> 
 
 
 def maximize(objective: Objective, theta0: np.ndarray, *, max_iters: int = 80,
-             grad_step: float = 1e-5, init_step: float = 0.25,
-             min_step: float = 1e-9, ftol: float = 1e-10,
-             chunk: int = 1024) -> tuple[np.ndarray, float]:
+             init_step: float = 0.25, chunk: int = 1024) -> tuple[np.ndarray, float]:
     """Ascend ``objective`` from ``theta0``; returns (theta, value)."""
     theta = np.array(theta0, dtype=float)
     best = float(_chunked_eval(objective, theta[None, :], chunk)[0])
     step = float(init_step)
     stall = 0
     for _ in range(max_iters):
-        grad = _gradient(objective, theta, grad_step, chunk)
+        grad = _gradient(objective, theta, GRAD_STEP, chunk)
         norm = float(np.linalg.norm(grad))
         if norm < 1e-9:
             break
@@ -54,17 +56,12 @@ def maximize(objective: Objective, theta0: np.ndarray, *, max_iters: int = 80,
             theta = cands[idx]
             best = float(vals[idx])
             step = min(ladder[idx] * 2.0, 4.0)
-            stall = stall + 1 if gain < ftol else 0
+            stall = stall + 1 if gain < FTOL else 0
             if stall >= 4:
                 break
         else:
             step *= 0.35 ** 6
-            if step < min_step:
+            if step < MIN_STEP:
                 break
     return theta, best
 
-
-def best_of_starts(objective: Objective, starts: Sequence[np.ndarray],
-                   **kwargs) -> list[tuple[np.ndarray, float]]:
-    """Run :func:`maximize` from every start, preserving start order."""
-    return [maximize(objective, s, **kwargs) for s in starts]

@@ -25,6 +25,7 @@ from .spaces import TensorSpace, _as_label_set
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
+BLOCK_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +149,38 @@ def permute_subsystems(rho: DensityMatrix, order: Iterable[str]) -> DensityMatri
     t = _as_tensor(rho).transpose(perm + [n + p for p in perm])
     d = rho.space.dim
     return DensityMatrix(new_space, t.reshape(d, d))
+
+
+def block_form(state: DensityMatrix, labels: Iterable[str]
+               ) -> tuple[DensityMatrix, np.ndarray, list[np.ndarray]]:
+    """Parse a source  sum_c p_c |c><c| tensor omega_c^{QR}  over labels (C, Q, R).
+
+    Returns the state reordered to (C, Q, R), the block weights p_c, and the
+    normalized QR branches omega_c.  The state must be block diagonal in the C
+    basis within 1e-10.  A zero-weight branch is the placeholder |0><0|.
+    """
+    wanted = tuple(labels)
+    if set(state.space.labels) != set(wanted) or len(state.space.labels) != 3:
+        raise ValidationError(
+            f"source must carry exactly the labels {wanted}, got {state.space.labels}")
+    work = state if state.space.labels == wanted else permute_subsystems(state, wanted)
+    d_c, d_q, d_r = work.space.dims
+    d = d_q * d_r
+    t4 = work.matrix.reshape(d_c, d, d_c, d)
+    off = np.abs(t4.transpose(0, 2, 1, 3)[~np.eye(d_c, dtype=bool)]).max(initial=0.0)
+    if off > BLOCK_TOL:
+        raise ValidationError(
+            f"state is not block diagonal over {wanted[0]!r}: off-block weight {off:.2e}")
+    probs = np.array([float(np.trace(t4[c, :, c, :]).real) for c in range(d_c)])
+    if np.any(probs < -BLOCK_TOL):
+        raise ValidationError("negative block weight")
+    probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum()
+    placeholder = np.zeros((d, d), dtype=complex)
+    placeholder[0, 0] = 1.0
+    branches = [hermitize(t4[c, :, c, :]) / probs[c] if probs[c] > 1e-14
+                else placeholder.copy() for c in range(d_c)]
+    return work, probs, branches
 
 
 def purify(rho: DensityMatrix, ref_label: str = "R") -> PureState:

@@ -29,10 +29,11 @@ from .channels import QuantumChannel, channel_power
 from .errors import NumericalFailureError, ValidationError
 from .information import CQEnsemble, _branch_outputs, generalized_information
 from .linalg import batched_entropy
-from .optimize import best_of_starts
+from . import optimize
 from .sampling import seed_rng
 
 ENVELOPE_TOL = 1e-9
+INIT_STEP = 0.3
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,6 @@ class OptimizerOptions:
     restarts: int = 24
     max_iters: int = 80
     seed: int = 0
-    grad_step: float = 1e-5
-    init_step: float = 0.3
-    ftol: float = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,9 +205,9 @@ def _optimize(problem: _EnsembleProblem,
         starts.append(problem.random_start(rng))
 
     baseline = float(np.max(objective(np.stack(canonical))))
-    results = best_of_starts(objective, starts, max_iters=opts.max_iters,
-                             grad_step=opts.grad_step, init_step=opts.init_step,
-                             ftol=opts.ftol, chunk=problem.chunk)
+    results = [optimize.maximize(objective, start, max_iters=opts.max_iters,
+                                 init_step=INIT_STEP, chunk=problem.chunk)
+               for start in starts]
     values = np.array([v for _, v in results])
     best = int(np.argmax(values))
     fell_back = bool(values[best] <= baseline + 1e-12)

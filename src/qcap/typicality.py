@@ -4,7 +4,9 @@ A length-n sequence over a finite alphabet is typical for a distribution p
 when every symbol count N(x) satisfies |N(x) - n p(x)| <= n delta.  The rule
 is applied literally: a zero-probability symbol may appear as long as its
 count stays within n delta.  Conditional typicality constrains joint counts
-against p(y|x) N(x) with the same slack.
+against p(y|x) N(x) with the same slack.  The typical set of p is the
+conditional typical set of the one-row p(y|x) = p(y) along a constant base
+sequence, so one enumerator lists both.
 
 Counts and masses are computed exactly by enumerating admissible count
 vectors and summing multinomial weights, so they stay cheap even at block
@@ -28,7 +30,7 @@ from .errors import ResourceLimitError, ValidationError
 from .linalg import entropy_from_probs, hermitize
 from .sampling import seed_rng
 from .spaces import TensorSpace
-from .states import DensityMatrix, permute_subsystems
+from .states import DensityMatrix, block_form
 
 PROB_TOL = 1e-12
 ENUMERATION_LIMIT = 20
@@ -146,28 +148,7 @@ def typical_mass(spec: TypicalSpec) -> float:
 
 def enumerate_typical(spec: TypicalSpec) -> Iterator[tuple[int, ...]]:
     """Lexicographic iterator over typical sequences.  Guarded at n <= 20."""
-    if spec.n > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"enumeration limited to n <= {ENUMERATION_LIMIT}, got {spec.n}")
-    lo, hi = spec.count_windows()
-    k = spec.alphabet_size
-
-    def rec(pos: int, counts: tuple[int, ...], prefix: tuple[int, ...]):
-        if pos == spec.n:
-            yield prefix
-            return
-        remaining = spec.n - pos - 1
-        for x in range(k):
-            c = counts[x] + 1
-            if c > hi[x]:
-                continue
-            new_counts = counts[:x] + (c,) + counts[x + 1:]
-            deficit = int(np.sum(np.clip(lo - np.asarray(new_counts), 0, None)))
-            if deficit > remaining:
-                continue
-            yield from rec(pos + 1, new_counts, prefix + (x,))
-
-    yield from rec(0, (0,) * k, ())
+    return _enumerate(spec.probs[None], np.zeros(spec.n, dtype=int), spec.delta)
 
 
 def dimension_constant(probs) -> float:
@@ -192,16 +173,28 @@ def _validate_conditional(cond) -> np.ndarray:
     return np.clip(m, 0.0, None)
 
 
+def _base_sequence(xn: Sequence[int], delta: float, kx: int) -> np.ndarray:
+    """The base sequence as a non-empty 1-d array over range(kx); delta must be positive."""
+    xs = np.asarray(xn, dtype=int)
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValidationError("base sequence must be 1-dimensional and non-empty")
+    if xs.min() < 0 or xs.max() >= kx:
+        raise ValidationError("base sequence contains symbols outside the alphabet")
+    if not delta > 0:
+        raise ValidationError(f"slack must be positive, got {delta!r}")
+    return xs
+
+
 def is_conditionally_typical(yn: Sequence[int], xn: Sequence[int], cond,
                              delta: float) -> bool:
     """Joint-count test |N(x,y) - p(y|x) N(x)| <= n delta for all pairs."""
     m = _validate_conditional(cond)
-    xs = np.asarray(xn, dtype=int)
+    xs = _base_sequence(xn, delta, m.shape[0])
     ys = np.asarray(yn, dtype=int)
-    if xs.shape != ys.shape or xs.ndim != 1 or xs.size == 0:
+    if ys.shape != xs.shape:
         raise ValidationError("sequences must be 1-dimensional with equal length")
     kx, ky = m.shape
-    if xs.min() < 0 or xs.max() >= kx or ys.min() < 0 or ys.max() >= ky:
+    if ys.min() < 0 or ys.max() >= ky:
         raise ValidationError("sequence contains symbols outside the alphabet")
     n = xs.size
     slack = n * float(delta)
@@ -226,7 +219,7 @@ def _per_symbol_windows(cond: np.ndarray, xn: np.ndarray,
 def conditional_typical_count(cond, xn: Sequence[int], delta: float) -> int:
     """Exact size of the conditional typical set for a fixed base sequence."""
     m = _validate_conditional(cond)
-    xs = np.asarray(xn, dtype=int)
+    xs = _base_sequence(xn, delta, m.shape[0])
     total = 1
     for _, n_x, lo, hi in _per_symbol_windows(m, xs, float(delta)):
         total *= sum(_multinomial(n_x, v) for v in _count_vectors(lo, hi, n_x))
@@ -236,7 +229,7 @@ def conditional_typical_count(cond, xn: Sequence[int], delta: float) -> int:
 def conditional_typical_mass(cond, xn: Sequence[int], delta: float) -> float:
     """Exact conditional probability of the conditional typical set."""
     m = _validate_conditional(cond)
-    xs = np.asarray(xn, dtype=int)
+    xs = _base_sequence(xn, delta, m.shape[0])
     total = 1.0
     for x, n_x, lo, hi in _per_symbol_windows(m, xs, float(delta)):
         total *= _mass_of_counts(m[x], n_x, _count_vectors(lo, hi, n_x))
@@ -258,6 +251,8 @@ def conditional_dimension_bound(probs, cond, n: int, delta: float) -> float:
     m = _validate_conditional(cond)
     if p.size != m.shape[0]:
         raise ValidationError("marginal and conditional alphabet sizes differ")
+    if not isinstance(n, (int, np.integer)) or n < 1 or not delta > 0:
+        raise ValidationError(f"need n >= 1 and positive slack, got n={n!r}, delta={delta!r}")
     s_cond = float(np.sum([p[x] * entropy_from_probs(m[x]) for x in range(p.size)]))
     return n * (s_cond + conditional_dimension_constant(m) * float(delta))
 
@@ -266,14 +261,17 @@ def enumerate_conditionally_typical(cond, xn: Sequence[int],
                                     delta: float) -> Iterator[tuple[int, ...]]:
     """Lexicographic iterator over conditionally typical sequences."""
     m = _validate_conditional(cond)
-    xs = np.asarray(xn, dtype=int)
+    return _enumerate(m, _base_sequence(xn, delta, m.shape[0]), float(delta))
+
+
+def _enumerate(cond: np.ndarray, xs: np.ndarray, delta: float) -> Iterator[tuple[int, ...]]:
+    """Sequences y^n whose joint counts with xs stay in their windows.  Guarded at n <= 20."""
     n = xs.size
     if n > ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"enumeration limited to n <= {ENUMERATION_LIMIT}, got {n}")
-    windows = {x: (lo, hi) for x, _, lo, hi in _per_symbol_windows(m, xs, float(delta))}
-    ky = m.shape[1]
-    remaining_by_symbol = {x: int(np.sum(xs == x)) for x in windows}
+    windows = {x: (lo, hi) for x, _, lo, hi in _per_symbol_windows(cond, xs, delta)}
+    ky = cond.shape[1]
 
     def rec(pos: int, counts: dict, prefix: tuple[int, ...]):
         if pos == n:
@@ -295,7 +293,7 @@ def enumerate_conditionally_typical(cond, xn: Sequence[int],
             new_counts[x] = {"joint": joint, "left": left}
             yield from rec(pos + 1, new_counts, prefix + (y,))
 
-    init = {x: {"joint": np.zeros(ky, dtype=int), "left": remaining_by_symbol[x]}
+    init = {x: {"joint": np.zeros(ky, dtype=int), "left": int(np.sum(xs == x))}
             for x in windows}
     yield from rec(0, init, ())
 
@@ -351,14 +349,12 @@ def conditional_typical_projector(branch_states: Sequence, xn: Sequence[int],
     if len(dims) != 1:
         raise ValidationError("branch states must share one dimension")
     dim = dims.pop()
-    xs = np.asarray(xn, dtype=int)
+    xs = _base_sequence(xn, delta, len(mats))
     n = xs.size
     if n * math.log2(dim) > PROJECTOR_LOG2_LIMIT:
         raise ResourceLimitError(
             f"projector needs n * log2(dim) <= {PROJECTOR_LOG2_LIMIT}, "
             f"got {n * math.log2(dim):.1f}")
-    if xs.min() < 0 or xs.max() >= len(mats):
-        raise ValidationError("base sequence indexes a missing branch state")
     eig = [_descending_eigensystem(m) for m in mats]
     cond = np.stack([w for w, _ in eig], axis=0)
     seqs = enumerate_conditionally_typical(cond, xs, delta)
@@ -388,11 +384,7 @@ def project_and_renormalize(omega: DensityMatrix, m: int, delta: float,
     string and renormalized.  Classical weights are renormalized by the
     retained classical mass; the overall retained joint mass is reported.
     """
-    wanted = (c_label, q_label, r_label)
-    if set(omega.space.labels) != set(wanted) or len(omega.space.labels) != 3:
-        raise ValidationError(
-            f"source must carry exactly the labels {wanted}, got {omega.space.labels}")
-    work = omega if omega.space.labels == wanted else permute_subsystems(omega, wanted)
+    work, probs, branches = block_form(omega, (c_label, q_label, r_label))
     d_c, d_q, d_r = work.space.dims
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValidationError(f"power must be a positive integer, got {m!r}")
@@ -402,21 +394,6 @@ def project_and_renormalize(omega: DensityMatrix, m: int, delta: float,
     if m * math.log2(d_c * d_q * d_r) > PROJECTOR_LOG2_LIMIT:
         raise ResourceLimitError("projected output state would be too large to build")
 
-    t4 = work.matrix.reshape(d_c, d_q * d_r, d_c, d_q * d_r)
-    off = 0.0
-    for c in range(d_c):
-        for cp in range(d_c):
-            if c != cp:
-                off = max(off, float(np.max(np.abs(t4[c, :, cp, :]))))
-    if off > 1e-10:
-        raise ValidationError(
-            f"state is not block diagonal over {c_label!r}: off-block weight {off:.2e}")
-    probs = np.array([float(np.trace(t4[c, :, c, :]).real) for c in range(d_c)])
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    branches = [hermitize(t4[c, :, c, :]) / probs[c] if probs[c] > 1e-14
-                else np.eye(d_q * d_r, dtype=complex) / (d_q * d_r)
-                for c in range(d_c)]
     q_marginals = [b.reshape(d_q, d_r, d_q, d_r).trace(axis1=1, axis2=3)
                    for b in branches]
 

@@ -92,6 +92,15 @@ def test_extend_source_size_cap():
         extend_source(big)
 
 
+def test_extend_source_rejects_negative_block_weight():
+    # each diagonal entry of block 1 is -0.9e-10: the state is valid within
+    # 1e-10 but the block weight -3.6e-10 is not
+    m = np.zeros((2, 4, 2, 4), dtype=complex)
+    m[0, :, 0, :] = (1.0 + 3.6e-10) * np.eye(4) / 4
+    m[1, :, 1, :] = -0.9e-10 * np.eye(4)
+    with pytest.raises(ValidationError, match="negative block weight"):
+        extend_source(cqr_state((2, 2, 2), m.reshape(8, 8)))
+
 def test_zero_epsilon_anchors():
     # the anchor holds at any search budget: the identity embedding stays in
     # the candidate pool and nothing feasible at fidelity 1 can beat it

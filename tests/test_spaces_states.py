@@ -6,7 +6,7 @@ from qcap.errors import DimensionMismatchError, ValidationError
 from qcap.linalg import binary_entropy, entropy_from_probs, phase_fixed_qr, sqrt_psd
 from qcap.sampling import random_pure, random_state, random_unitary, seed_rng
 from qcap.spaces import TensorSpace
-from qcap.states import (DensityMatrix, PureState, basis_state,
+from qcap.states import (DensityMatrix, PureState, basis_state, block_form,
                          conditional_entropy, entropy, fidelity,
                          maximally_entangled, maximally_mixed,
                          mutual_information, partial_trace,
@@ -195,3 +195,28 @@ def test_seeded_sampling_is_deterministic():
     assert u @ u.conj().T == pytest.approx(np.eye(3), abs=1e-12)
     psi = random_pure(5, seed_rng(7, "pure"))
     assert np.linalg.norm(psi.vector) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_block_form_parses_reordered_source():
+    rng = seed_rng(3, "block-form")
+    m = np.zeros((3, 4, 3, 4), dtype=complex)
+    omegas = [random_state(TensorSpace.of(("Q", 2), ("R", 2)), rng).matrix for _ in range(2)]
+    m[0, :, 0, :] = 0.7 * omegas[0]
+    m[2, :, 2, :] = 0.3 * omegas[1]
+    state = DensityMatrix(TensorSpace.of(("C", 3), ("Q", 2), ("R", 2)), m.reshape(12, 12))
+    work, probs, branches = block_form(permute_subsystems(state, ("R", "C", "Q")),
+                                       ("C", "Q", "R"))
+    assert work.space.labels == ("C", "Q", "R")
+    assert np.max(np.abs(work.matrix - state.matrix)) < 1e-15
+    assert probs == pytest.approx([0.7, 0.0, 0.3], abs=1e-12)
+    assert np.max(np.abs(branches[0] - omegas[0])) < 1e-12
+    assert np.max(np.abs(branches[2] - omegas[1])) < 1e-12
+    placeholder = np.zeros((4, 4))
+    placeholder[0, 0] = 1.0
+    assert np.array_equal(branches[1], placeholder)
+    with pytest.raises(ValidationError, match="labels"):
+        block_form(state, ("C", "Q", "E"))
+    coherent = m.reshape(12, 12).copy()
+    coherent[0, 8] = coherent[8, 0] = 1e-3
+    with pytest.raises(ValidationError, match="not block diagonal over 'C'"):
+        block_form(DensityMatrix(state.space, coherent), ("C", "Q", "R"))

@@ -1,4 +1,5 @@
 """Strong-typicality sets, projectors, and block-source projection."""
+import itertools
 import math
 
 import numpy as np
@@ -284,3 +285,60 @@ def test_sample_typical_fraction_concentrates_and_is_deterministic():
     assert a == sample_typical_fraction([0.3, 0.7], 2000, 0.05, 200, seed=1)
     with pytest.raises(ValidationError):
         sample_typical_fraction([0.3, 0.7], 2000, 0.05, 0)
+
+
+def test_enumerate_typical_matches_brute_force():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        k = int(rng.integers(1, 4))
+        p = rng.dirichlet(np.ones(k))
+        if k > 1 and rng.random() < 0.4:
+            p[int(rng.integers(k))] = 0.0
+            p = p / p.sum()
+        spec = TypicalSpec(p, int(rng.integers(1, 7)), float(rng.uniform(0.02, 0.5)))
+        brute = [s for s in itertools.product(range(k), repeat=spec.n)
+                 if is_typical(s, spec)]
+        assert list(enumerate_typical(spec)) == brute
+
+
+def test_projection_zero_weight_block():
+    # strings using the empty block occur at most m * delta = 1.2 times and
+    # carry no weight, but they are kept and their branch mass is 1
+    res = project_and_renormalize(cqr_state(2, 2, 2, [(1.0, np.eye(4) / 4),
+                                                      (0.0, np.eye(4) / 4)]), 3, 0.4)
+    assert res.kept_strings == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert res.branch_masses == pytest.approx((0.75, 1.0, 1.0, 1.0), abs=1e-12)
+    assert res.classical_mass == pytest.approx(1.0, abs=1e-12)
+    assert res.joint_mass == pytest.approx(0.75, abs=1e-12)
+
+
+def test_projection_rejects_negative_block_weight():
+    # each diagonal entry of block 1 is -0.9e-10: the state is valid within
+    # 1e-10 but the block weight -3.6e-10 is not
+    m = np.zeros((2, 4, 2, 4), dtype=complex)
+    m[0, :, 0, :] = (1.0 + 3.6e-10) * np.eye(4) / 4
+    m[1, :, 1, :] = -0.9e-10 * np.eye(4)
+    with pytest.raises(ValidationError, match="negative block weight"):
+        project_and_renormalize(DensityMatrix(
+            TensorSpace.of(("C", 2), ("Q", 2), ("R", 2)), m.reshape(8, 8)), 2, 0.4)
+
+
+def test_conditional_functions_reject_bad_base_or_slack():
+    cond = np.array([[0.8, 0.2], [0.3, 0.7]])
+    rho = np.diag([0.8, 0.2])
+    calls = [lambda xn, d: conditional_typical_count(cond, xn, d),
+             lambda xn, d: conditional_typical_mass(cond, xn, d),
+             lambda xn, d: list(enumerate_conditionally_typical(cond, xn, d)),
+             lambda xn, d: conditional_typical_projector([rho, rho], xn, d),
+             lambda xn, d: is_conditionally_typical(np.zeros_like(xn), xn, cond, d)]
+    for call in calls:
+        assert call([0, 1], 0.1) is not None
+        for xn, d in (([], 0.1), ([[0, 1]], 0.1), ([0, 2], 0.1),
+                      ([0, 1], 0.0), ([0, 1], -0.1)):
+            with pytest.raises(ValidationError):
+                call(xn, d)
+    marg = [0.5, 0.5]
+    assert conditional_dimension_bound(marg, cond, 4, 0.1) > 0
+    for n, d in ((4, 0.0), (4, -0.5), (0, 0.1), (-4, 0.1)):
+        with pytest.raises(ValidationError):
+            conditional_dimension_bound(marg, cond, n, d)
