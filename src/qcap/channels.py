@@ -40,6 +40,8 @@ class QuantumChannel:
                 raise DimensionMismatchError(
                     f"Kraus operator shape {k.shape} differs from "
                     f"({self.dim_out}, {self.dim_in})")
+            if not np.isfinite(k).all():
+                raise ValidationError("Kraus operator has NaN or infinite entries")
         total = sum(k.conj().T @ k for k in ops)
         if np.max(np.abs(total - np.eye(self.dim_in))) > COMPLETENESS_TOL:
             raise ValidationError("Kraus operators do not satisfy completeness within 1e-10")

@@ -57,6 +57,8 @@ class CQEnsemble:
             raise ValidationError("ensemble needs at least one entry")
         if p.size > MAX_ENSEMBLE_ENTRIES:
             raise ValidationError(f"ensemble has {p.size} entries, limit {MAX_ENSEMBLE_ENTRIES}")
+        if not (np.isfinite(p).all() and np.isfinite(v).all()):
+            raise ValidationError("ensemble has NaN or infinite entries")
         if np.any(p < -PROB_TOL):
             raise ValidationError("ensemble probabilities must be nonnegative")
         p = np.clip(p, 0.0, None)

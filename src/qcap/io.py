@@ -7,6 +7,7 @@ trailing newline) so identical inputs yield byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -49,30 +50,33 @@ def _require(obj: Any, key: str, context: str) -> Any:
     return obj[key]
 
 
-def _as_complex_matrix(data: Any, context: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 3 or arr.shape[-1] != 2:
+def _number(value: Any, context: str, integer: bool = False) -> float | int:
+    """A JSON number, checked finite and, if ``integer``, integral."""
+    valid = (isinstance(value, int) and not isinstance(value, bool)
+             or isinstance(value, float) and math.isfinite(value)
+             and (value.is_integer() or not integer))
+    if not valid:
+        kind = "an integer" if integer else "a finite number"
+        raise ValidationError(f"{context}: expected {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _complex_array(data: Any, rank: int, context: str) -> np.ndarray:
+    """A rank-``rank`` complex array from nested lists of [re, im] pairs."""
+    try:
+        arr = np.asarray(data)
+    except ValueError as exc:
+        raise ValidationError(f"{context}: ragged array: {exc}") from exc
+    if arr.dtype.kind not in "iuf" or arr.ndim != rank + 1 or arr.shape[-1] != 2:
         raise ValidationError(
-            f"{context}: expected rows of [re, im] pairs, got shape {arr.shape}")
+            f"{context}: expected a rank-{rank} array of numeric [re, im] pairs, "
+            f"got {arr.dtype.name} shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _as_complex_vector(data: Any, context: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[-1] != 2:
-        raise ValidationError(
-            f"{context}: expected a list of [re, im] pairs, got shape {arr.shape}")
-    return arr[:, 0] + 1j * arr[:, 1]
 
 
 def matrix_to_json(matrix: np.ndarray) -> list:
     m = np.asarray(matrix, dtype=complex)
     return np.stack([m.real, m.imag], axis=-1).tolist()
-
-
-def vector_to_json(vector: np.ndarray) -> list:
-    v = np.asarray(vector, dtype=complex)
-    return np.stack([v.real, v.imag], axis=-1).tolist()
 
 
 def state_to_json(state: DensityMatrix) -> dict:
@@ -89,9 +93,10 @@ def state_from_json(data: Any) -> DensityMatrix:
         if (not isinstance(item, (list, tuple)) or len(item) != 2
                 or not isinstance(item[0], str)):
             raise ValidationError(f"state: bad subsystem entry {item!r}")
-        subsystems.append((item[0], int(item[1])))
+        dim = _number(item[1], f"state: dimension of {item[0]!r}", integer=True)
+        subsystems.append((item[0], dim))
     space = TensorSpace.of(*subsystems)
-    matrix = _as_complex_matrix(_require(data, "matrix", "state"), "state.matrix")
+    matrix = _complex_array(_require(data, "matrix", "state"), 2, "state.matrix")
     return DensityMatrix(space, matrix)
 
 
@@ -101,34 +106,34 @@ def channel_to_json(channel: QuantumChannel) -> dict:
 
 
 def channel_from_json(data: Any) -> QuantumChannel:
-    dim_in = int(_require(data, "dim_in", "channel"))
-    dim_out = int(_require(data, "dim_out", "channel"))
+    dim_in = _number(_require(data, "dim_in", "channel"), "channel.dim_in", integer=True)
+    dim_out = _number(_require(data, "dim_out", "channel"), "channel.dim_out", integer=True)
     kraus_raw = _require(data, "kraus", "channel")
     if not isinstance(kraus_raw, list) or not kraus_raw:
         raise ValidationError("channel: 'kraus' must be a non-empty list")
-    kraus = [_as_complex_matrix(k, f"channel.kraus[{i}]")
+    kraus = [_complex_array(k, 2, f"channel.kraus[{i}]")
              for i, k in enumerate(kraus_raw)]
     return QuantumChannel(dim_in=dim_in, dim_out=dim_out, kraus=tuple(kraus))
 
 
 def ensemble_to_json(ensemble: CQEnsemble) -> dict:
     return {"dim_A": ensemble.dim_a, "dim_R": ensemble.dim_r,
-            "entries": [{"p": float(p), "vector": vector_to_json(v)}
+            "entries": [{"p": float(p), "vector": matrix_to_json(v)}
                         for p, v in zip(ensemble.probs, ensemble.vectors)]}
 
 
 def ensemble_from_json(data: Any) -> CQEnsemble:
-    dim_a = int(_require(data, "dim_A", "ensemble"))
-    dim_r = int(_require(data, "dim_R", "ensemble"))
+    dim_a = _number(_require(data, "dim_A", "ensemble"), "ensemble.dim_A", integer=True)
+    dim_r = _number(_require(data, "dim_R", "ensemble"), "ensemble.dim_R", integer=True)
     entries = _require(data, "entries", "ensemble")
     if not isinstance(entries, list) or not entries:
         raise ValidationError("ensemble: 'entries' must be a non-empty list")
     probs = []
     vectors = []
     for i, entry in enumerate(entries):
-        probs.append(float(_require(entry, "p", f"ensemble.entries[{i}]")))
-        vec = _as_complex_vector(_require(entry, "vector", f"ensemble.entries[{i}]"),
-                                 f"ensemble.entries[{i}].vector")
+        context = f"ensemble.entries[{i}]"
+        probs.append(_number(_require(entry, "p", context), f"{context}.p"))
+        vec = _complex_array(_require(entry, "vector", context), 1, f"{context}.vector")
         if vec.size != dim_a * dim_r:
             raise ValidationError(
                 f"ensemble.entries[{i}]: vector length {vec.size} differs "

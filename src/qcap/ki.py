@@ -8,31 +8,36 @@ subspace outside the support of rho_A) such that
 
 The Q_c parts carry all correlation with R; the N_c parts are redundancy
 that a channel on A can regenerate.  The implementation works with the
-operators steered on A by a Hermitian operator basis on R,
+operators that R steers on A, which are the d_R^2 blocks of rho in the R
+basis,
 
-    E_k = Tr_R[(1 tensor X_k) rho],
+    E_sr = Tr_R[(1 tensor |s><r|) rho] = <r|rho|s>_R,
 
-normalized on the support of rho_A.  The smallest *-algebra containing the
-normalized operators is not always the right object: the decomposition must
-be invariant under conjugation by rho_A's modular flow, so the generators are
-first split into their spectral components along classes of equal eigenvalue
-ratios of rho_A.  Each component is a sum of corner maps  a -> P_i a P_j  over
-pairs with a fixed ratio lambda_i/lambda_j, which keeps it inside every
-admissible algebra while making the span flow invariant.  Without this step,
-states whose steering span is skew to the modular flow decompose into
-spurious blocks and fail reconstruction.
+normalized on the support of rho_A.  They span the same complex space as the
+operators steered by a Hermitian basis of R.  They need not be Hermitian, but
+the algebra they generate is closed under adjoints all the same.  The
+smallest *-algebra containing the normalized operators is not always the
+right object: the decomposition must be invariant under conjugation by
+rho_A's modular flow, so the generators are first split into their spectral
+components along classes of equal eigenvalue ratios of rho_A.  Each
+component is a sum of corner maps  a -> P_i a P_j  over pairs with a fixed
+ratio lambda_i/lambda_j, which keeps it inside every admissible algebra while
+making the span flow invariant.  Without this step, states whose steering
+span is skew to the modular flow decompose into spurious blocks and fail
+reconstruction.
 
 Everything else rests on one primitive, the commutant: the operators that
 commute with a set and its adjoints form the kernel of a positive
 semidefinite s^2 x s^2 operator, found with one Hermitian eigensolve.  The
-algebra generated by the operators is their bicommutant.  Its commutant has
-the form  (+)_c 1_{d_c} tensor M_{m_c},  so a generic Hermitian element of it
-has eigenspaces C^{d_c} tensor e_k; commutant elements link the eigenspaces
-of one block, and polar factors of their cross blocks align the eigenspaces
-into product coordinates Q_c tensor N_c (Murota, Kanno, Kojima & Kojima,
-Japan J. Indust. Appl. Math. 27, 2010).  Every stage verifies its residual
-and raises NumericalFailureError instead of returning a silently wrong
-decomposition.
+algebra generated by the operators is their bicommutant, and the commutant
+computed on the way is kept for the block split, so each decomposition takes
+two such eigensolves.  The commutant has the form  (+)_c 1_{d_c} tensor
+M_{m_c},  so a generic Hermitian element of it has eigenspaces
+C^{d_c} tensor e_k; commutant elements link the eigenspaces of one block,
+and polar factors of their cross blocks align the eigenspaces into product
+coordinates Q_c tensor N_c (Murota, Kanno, Kojima & Kojima, Japan J. Indust.
+Appl. Math. 27, 2010).  Every stage verifies its residual and raises
+NumericalFailureError instead of returning a silently wrong decomposition.
 """
 from __future__ import annotations
 
@@ -52,25 +57,7 @@ FACTOR_RESIDUAL_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-8
 EIGEN_GAP = 1e-7
 MAX_REDRAWS = 16
-
-
-def hermitian_basis(dim: int) -> np.ndarray:
-    """A basis of Hermitian matrices: diagonal units plus sym/antisym pairs."""
-    ops = []
-    for i in range(dim):
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        m[i, i] = 1.0
-        ops.append(m)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m = np.zeros((dim, dim), dtype=np.complex128)
-            m[i, j] = m[j, i] = 1.0
-            ops.append(m)
-            m = np.zeros((dim, dim), dtype=np.complex128)
-            m[i, j] = -1j
-            m[j, i] = 1j
-            ops.append(m)
-    return np.stack(ops)
+ALGEBRA_TOL = 1e-9
 
 
 def _split_labels(space: TensorSpace, system) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -91,11 +78,14 @@ def _split_labels(space: TensorSpace, system) -> tuple[tuple[str, ...], tuple[st
 
 
 def steered_operators(rho: DensityMatrix, system: str | Iterable[str] | None = None) -> np.ndarray:
-    """Hermitian operators Tr_R[(1 tensor X_k) rho] for a basis {X_k} on R.
+    """The operators Tr_R[(1 tensor |s><r|) rho] = <r|rho|s>_R that R steers on A.
 
     ``system`` names the A part (default: the first subsystem); the rest of
-    the space is the reference R.  With an empty reference the single steered
-    operator is the state itself.  Returns an array of shape (dim_R^2, dA, dA).
+    the space is the reference R.  The operators are the d_R^2 blocks of rho
+    in the R basis, indexed (s, r), and need not be Hermitian; their complex
+    span equals that of the operators steered by a Hermitian basis of R.  With
+    an empty reference the single steered operator is the state itself.
+    Returns an array of shape (dim_R^2, dA, dA).
     """
     sys_labels, ref_labels = _split_labels(rho.space, system)
     ordered = sys_labels + ref_labels
@@ -104,15 +94,15 @@ def steered_operators(rho: DensityMatrix, system: str | Iterable[str] | None = N
     d_a = rho.space.dim_of(sys_labels)
     d_r = rho.space.dim // d_a
     t = rho.matrix.reshape(d_a, d_r, d_a, d_r)
-    basis = hermitian_basis(d_r)
-    return np.einsum("asbr,xrs->xab", t, basis)
+    return t.transpose(3, 1, 0, 2).reshape(d_r * d_r, d_a, d_a)
 
 
 @dataclass(frozen=True, eq=False)
 class AlgebraBasis:
-    """Orthonormal basis of a *-algebra on the support of a marginal state."""
+    """Orthonormal bases of a *-algebra and its commutant on the support of a marginal state."""
 
     basis: np.ndarray          # (k, s, s), support eigencoordinates
+    commutant: np.ndarray      # (j, s, s) orthonormal basis of the commutant
     support: np.ndarray        # (d, s) isometry into the original space
     support_eigs: np.ndarray   # (s,) eigenvalues of the marginal on its support
 
@@ -121,39 +111,24 @@ class AlgebraBasis:
         return int(len(self.basis))
 
 
-def _ratio_classes(eigs: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
-    """Boolean masks over index pairs grouped by equal eigenvalue ratio."""
-    logs = np.log(eigs)
-    diff = logs[:, None] - logs[None, :]
-    flat = np.sort(diff.reshape(-1))
-    reps: list[float] = []
-    for value in flat:
-        if not reps or value - reps[-1] > tol:
-            reps.append(float(value))
-    masks = []
-    for r in reps:
-        masks.append(np.abs(diff - r) <= tol)
-    return masks
-
-
-def _orthonormalize(ops: np.ndarray, rtol: float) -> np.ndarray:
+def _orthonormalize(ops: np.ndarray) -> np.ndarray:
     flat = ops.reshape(len(ops), -1)
     _, s, vh = np.linalg.svd(flat, full_matrices=False)
     if s.size == 0 or s[0] <= 0:
         return ops[:0]
-    keep = s > rtol * s[0]
+    keep = s > ALGEBRA_TOL * s[0]
     return vh[keep].reshape(-1, *ops.shape[1:])
 
 
-def _commutant(ops: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _commutant(ops: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the operators commuting with every op and its adjoint.
 
     ``ops`` should be (close to) orthonormal.  The commutant is the kernel of
     L = sum_G ad_G^dag ad_G over G in ops and their adjoints, ad_G X = GX - XG.
     With row-major vectorization ad_G = G (x) 1 - 1 (x) G^T, and over an
     adjoint-closed set  L = S (x) 1 + 1 (x) S^T - 2 sum_G G (x) conj(G)  with
-    S = sum_G G^dag G.  Eigenvalues up to ``tol`` times the largest count as
-    zero.
+    S = sum_G G^dag G.  Eigenvalues up to ALGEBRA_TOL times the largest count
+    as zero.
     """
     ops = np.concatenate([ops, ops.conj().swapaxes(-1, -2)])
     k, s, _ = ops.shape
@@ -163,18 +138,18 @@ def _commutant(ops: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     cross = (flat.T @ flat.conj()).reshape(s, s, s, s).transpose(0, 2, 1, 3)
     lap = np.kron(gram, eye) + np.kron(eye, gram.T) - 2.0 * cross.reshape(s * s, s * s)
     w, v = np.linalg.eigh(hermitize(lap))
-    keep = w <= tol * max(w[-1], 1.0)
+    keep = w <= ALGEBRA_TOL * max(w[-1], 1.0)
     return v[:, keep].T.reshape(-1, s, s)
 
 
-def generate_algebra(ops, rho_a, tol: float = 1e-9) -> AlgebraBasis:
+def generate_algebra(ops, rho_a) -> AlgebraBasis:
     """The *-algebra generated by support-normalized steered operators.
 
     ``ops`` is an iterable of operators on A; ``rho_a`` the marginal state
     there.  Operators are compressed onto the support of ``rho_a``, normalized
     by rho_a^{-1/2} on both sides and split into modular spectral components
     (see the module docstring).  Together with the identity they generate the
-    algebra, returned as their bicommutant.
+    algebra, returned as their bicommutant along with the commutant.
     """
     mat = rho_a.matrix if isinstance(rho_a, DensityMatrix) else np.asarray(rho_a, dtype=complex)
     d = mat.shape[0]
@@ -196,16 +171,20 @@ def generate_algebra(ops, rho_a, tol: float = 1e-9) -> AlgebraBasis:
 
     generators = [np.eye(s, dtype=complex)]
     generators.extend(normalized)
-    masks = _ratio_classes(eigs)
+    logs = np.log(eigs)
+    classes = _group_by_gaps((logs[:, None] - logs[None, :]).reshape(-1), ALGEBRA_TOL)
     components = []
     for g in generators:
-        for mask in masks:
-            part = np.where(mask, g, 0.0)
-            if np.max(np.abs(part)) > tol:
-                components.append(part)
-    spanned = _orthonormalize(np.stack(generators + components), tol)
-    basis = _commutant(_commutant(spanned, tol), tol)
-    return AlgebraBasis(basis=basis, support=support, support_eigs=eigs)
+        flat = g.reshape(-1)
+        for idx in classes:
+            if np.max(np.abs(flat[idx])) > ALGEBRA_TOL:
+                part = np.zeros(s * s, dtype=complex)
+                part[idx] = flat[idx]
+                components.append(part.reshape(s, s))
+    spanned = _orthonormalize(np.stack(generators + components))
+    comm = _commutant(spanned)
+    return AlgebraBasis(basis=_commutant(comm), commutant=comm,
+                        support=support, support_eigs=eigs)
 
 
 def _group_by_gaps(values: np.ndarray, gap: float) -> list[np.ndarray]:
@@ -260,11 +239,10 @@ class AlgebraFactor:
     dim_n: int
 
 
-def decompose_algebra(basis: np.ndarray | AlgebraBasis, seed: int = 0) -> list[AlgebraFactor]:
+def decompose_algebra(alg: AlgebraBasis, seed: int = 0) -> list[AlgebraFactor]:
     """Split a *-algebra into matrix-factor blocks M_{d_c} tensor 1_{m_c}.
 
-    ``basis`` is a stack of orthonormal operators spanning the algebra (an
-    :class:`AlgebraBasis` is also accepted).  The commutant of the algebra is
+    ``alg`` carries orthonormal bases of the algebra and of its commutant
     (+)_c 1_{d_c} tensor M_{m_c}.  A generic Hermitian element of it, drawn
     from a seeded generator, has the eigenspaces C^{d_c} tensor e_k; commutant
     elements that link two eigenspaces put them in one block, and the polar
@@ -273,11 +251,8 @@ def decompose_algebra(basis: np.ndarray | AlgebraBasis, seed: int = 0) -> list[A
     clusters closer than 1e-7 that break this structure trigger a redraw, and
     persistent failures raise NumericalFailureError.
     """
-    if isinstance(basis, AlgebraBasis):
-        basis = basis.basis
-    basis = np.asarray(basis, dtype=complex)
+    basis, comm = alg.basis, alg.commutant
     s = basis.shape[-1]
-    comm = _commutant(basis)
     rng = seed_rng(seed, "algebra-split")
 
     for _ in range(MAX_REDRAWS):
@@ -362,7 +337,7 @@ def _block_form(blocks, offsets, d_a: int, d_r: int) -> np.ndarray:
 
 
 def ki_decompose(rho: DensityMatrix, system: str | Iterable[str] | None = None,
-                 seed: int = 0, tol: float = 1e-9) -> KIDecomposition:
+                 seed: int = 0) -> KIDecomposition:
     """Compute the Koashi-Imoto decomposition of ``rho`` across A | R.
 
     ``system`` selects the A subsystems (default: the first label); all other
@@ -381,7 +356,7 @@ def ki_decompose(rho: DensityMatrix, system: str | Iterable[str] | None = None,
     else:
         rho_a = work
     ops = steered_operators(work, system=sys_labels)
-    alg = generate_algebra(ops, rho_a, tol)
+    alg = generate_algebra(ops, rho_a)
     factors = decompose_algebra(alg, seed=seed)
 
     support = alg.support

@@ -17,13 +17,13 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
-def entropy_from_probs(p: np.ndarray, cutoff: float = ENTROPY_CUTOFF) -> float:
+def entropy_from_probs(p: np.ndarray) -> float:
     """Shannon entropy in bits of a nonnegative vector summing to ~1."""
     p = np.clip(np.asarray(p, dtype=float), 0.0, None)
     total = p.sum()
     if total > 0:
         p = p / total
-    q = p[p > cutoff]
+    q = p[p > ENTROPY_CUTOFF]
     if q.size == 0:
         return 0.0
     return float(-(q * np.log2(q)).sum()) + 0.0
@@ -35,12 +35,12 @@ def entropy_of_matrix(m: np.ndarray) -> float:
     return entropy_from_probs(w)
 
 
-def batched_entropy(mats: np.ndarray, cutoff: float = ENTROPY_CUTOFF) -> np.ndarray:
+def batched_entropy(mats: np.ndarray) -> np.ndarray:
     """Von Neumann entropies of a batch of matrices, shape (..., d, d) -> (...)."""
     w = np.linalg.eigvalsh(hermitize(np.asarray(mats)))
     w = np.clip(w, 0.0, None)
-    w = w / np.clip(w.sum(axis=-1, keepdims=True), cutoff, None)
-    safe = np.where(w > cutoff, w, 1.0)
+    w = w / np.clip(w.sum(axis=-1, keepdims=True), ENTROPY_CUTOFF, None)
+    safe = np.where(w > ENTROPY_CUTOFF, w, 1.0)
     return -(safe * np.log2(safe)).sum(axis=-1) + 0.0
 
 

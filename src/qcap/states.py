@@ -41,6 +41,8 @@ class DensityMatrix:
         if m.shape != (d, d):
             raise DimensionMismatchError(
                 f"matrix shape {m.shape} does not match space dimension {d}")
+        if not np.isfinite(m).all():
+            raise ValidationError("matrix has NaN or infinite entries")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise ValidationError("matrix is not Hermitian within 1e-10")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
@@ -59,8 +61,8 @@ class DensityMatrix:
         w = np.clip(np.linalg.eigvalsh(hermitize(self.matrix)), 0.0, None)
         return w / w.sum()
 
-    def rank(self, cutoff: float = SUPPORT_CUTOFF) -> int:
-        return int(np.sum(self.eigenvalues() > cutoff))
+    def rank(self) -> int:
+        return int(np.sum(self.eigenvalues() > SUPPORT_CUTOFF))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +77,8 @@ class PureState:
         if v.shape != (self.space.dim,):
             raise DimensionMismatchError(
                 f"vector length {v.shape[0]} does not match space dimension {self.space.dim}")
+        if not np.isfinite(v).all():
+            raise ValidationError("vector has NaN or infinite entries")
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > 1e-9:
             raise ValidationError(f"vector norm {norm:.6f} differs from 1")
@@ -129,16 +133,11 @@ def partial_trace(rho: DensityMatrix, keep: str | Iterable[str]) -> DensityMatri
     rho.space.positions(keep_set)  # validates labels
     sub = rho.space.restrict(keep_set)
     n = len(rho.space.subsystems)
-    keep_pos = [i for i, (label, _) in enumerate(rho.space.subsystems) if label in keep_set]
-    t = _as_tensor(rho)
-    # einsum: traced subsystems share one letter on ket and bra axes
-    letters = [chr(ord("a") + i) for i in range(2 * n)]
-    ket = letters[:n]
-    bra = [ket[i] if i not in keep_pos else letters[n + i] for i in range(n)]
-    out = "".join(ket[i] for i in keep_pos) + "".join(bra[i] for i in keep_pos)
-    m = np.einsum("".join(ket) + "".join(bra) + "->" + out, t)
+    order = sorted(range(n), key=lambda i: rho.space.labels[i] not in keep_set)
+    t = _as_tensor(rho).transpose(order + [n + i for i in order])
     d = sub.dim
-    return DensityMatrix(sub, m.reshape(d, d))
+    m = t.reshape(d, rho.space.dim // d, d, -1).trace(axis1=1, axis2=3)
+    return DensityMatrix(sub, m)
 
 
 def permute_subsystems(rho: DensityMatrix, order: Iterable[str]) -> DensityMatrix:

@@ -36,6 +36,7 @@ PROB_TOL = 1e-12
 ENUMERATION_LIMIT = 20
 PROJECTOR_LOG2_LIMIT = 12.0
 COUNT_EPS = 1e-9
+SAMPLE_CHUNK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,13 +51,12 @@ class TypicalSpec:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("probability vector must be 1-dimensional and non-empty")
-        if np.any(p < -PROB_TOL) or abs(p.sum() - 1.0) > PROB_TOL:
-            raise ValidationError("not a probability vector within 1e-12")
+        p = _validate_conditional(p[None])[0]
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValidationError(f"block length must be a positive integer, got {n!r}")
         if not delta > 0:
             raise ValidationError(f"slack must be positive, got {delta!r}")
-        object.__setattr__(self, "probs", np.clip(p, 0.0, None))
+        object.__setattr__(self, "probs", p)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "delta", float(delta))
 
@@ -78,15 +78,7 @@ def _windows(probs: np.ndarray, n: int, slack: float) -> tuple[np.ndarray, np.nd
 
 def is_typical(sequence: Sequence[int], spec: TypicalSpec) -> bool:
     """Exact membership test for one sequence of symbol indices."""
-    seq = np.asarray(sequence, dtype=int)
-    if seq.ndim != 1 or seq.size != spec.n:
-        raise ValidationError(f"sequence length {seq.size} differs from n = {spec.n}")
-    k = spec.alphabet_size
-    if seq.size and (seq.min() < 0 or seq.max() >= k):
-        raise ValidationError("sequence contains symbols outside the alphabet")
-    counts = np.bincount(seq, minlength=k)
-    lo, hi = spec.count_windows()
-    return bool(np.all(counts >= lo) and np.all(counts <= hi))
+    return is_conditionally_typical(sequence, [0] * spec.n, spec.probs[None], spec.delta)
 
 
 def _count_vectors(lo: np.ndarray, hi: np.ndarray, total: int) -> Iterator[tuple[int, ...]]:
@@ -119,8 +111,7 @@ def _multinomial(n: int, counts: Sequence[int]) -> int:
 
 def typical_count(spec: TypicalSpec) -> int:
     """Exact number of typical sequences."""
-    lo, hi = spec.count_windows()
-    return sum(_multinomial(spec.n, v) for v in _count_vectors(lo, hi, spec.n))
+    return conditional_typical_count(spec.probs[None], [0] * spec.n, spec.delta)
 
 
 def _mass_of_counts(probs: np.ndarray, n: int, vectors) -> float:
@@ -142,8 +133,7 @@ def _mass_of_counts(probs: np.ndarray, n: int, vectors) -> float:
 
 def typical_mass(spec: TypicalSpec) -> float:
     """Exact probability that an i.i.d. draw lands in the typical set."""
-    lo, hi = spec.count_windows()
-    return _mass_of_counts(spec.probs, spec.n, _count_vectors(lo, hi, spec.n))
+    return conditional_typical_mass(spec.probs[None], [0] * spec.n, spec.delta)
 
 
 def enumerate_typical(spec: TypicalSpec) -> Iterator[tuple[int, ...]]:
@@ -165,12 +155,17 @@ def typical_dimension_bound(spec: TypicalSpec) -> float:
 
 
 def _validate_conditional(cond) -> np.ndarray:
+    """Rows of probabilities, clipped at zero; a validated array validates again."""
     m = np.asarray(cond, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise ValidationError("conditional distribution must be a 2-d array p(y|x)")
-    if np.any(m < -PROB_TOL) or np.any(np.abs(m.sum(axis=1) - 1.0) > PROB_TOL):
-        raise ValidationError("rows of p(y|x) must be probability vectors within 1e-12")
-    return np.clip(m, 0.0, None)
+    if not np.isfinite(m).all():
+        raise ValidationError("probabilities have NaN or infinite entries")
+    clipped = np.clip(m, 0.0, None)
+    if (np.any(m < -PROB_TOL) or np.any(np.abs(m.sum(axis=1) - 1.0) > PROB_TOL)
+            or np.any(np.abs(clipped.sum(axis=1) - 1.0) > PROB_TOL)):
+        raise ValidationError("probability rows must be nonnegative and sum to 1 within 1e-12")
+    return clipped
 
 
 def _base_sequence(xn: Sequence[int], delta: float, kx: int) -> np.ndarray:
@@ -329,15 +324,9 @@ def _basis_projector_sum(sequences, bases: list[np.ndarray], dim: int,
 
 def typical_projector(rho, n: int, delta: float) -> np.ndarray:
     """Projector onto the span of typical eigenbasis sequences of rho^(x n)."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    dim = mat.shape[0]
-    if n * math.log2(dim) > PROJECTOR_LOG2_LIMIT:
-        raise ResourceLimitError(
-            f"projector needs n * log2(dim) <= {PROJECTOR_LOG2_LIMIT}, "
-            f"got {n * math.log2(dim):.1f}")
-    w, v = _descending_eigensystem(mat)
-    spec = TypicalSpec(w, n, delta)
-    return _basis_projector_sum(enumerate_typical(spec), [v] * n, dim, n)
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"block length must be a positive integer, got {n!r}")
+    return conditional_typical_projector([rho], [0] * n, delta)
 
 
 def conditional_typical_projector(branch_states: Sequence, xn: Sequence[int],
@@ -443,7 +432,7 @@ def project_and_renormalize(omega: DensityMatrix, m: int, delta: float,
 
 
 def sample_typical_fraction(probs, n: int, delta: float, samples: int,
-                            seed: int = 0, chunk: int = 512) -> float:
+                            seed: int = 0) -> float:
     """Monte Carlo fraction of i.i.d. draws that land in the typical set."""
     spec = TypicalSpec(probs, n, delta)
     if samples < 1:
@@ -454,7 +443,7 @@ def sample_typical_fraction(probs, n: int, delta: float, samples: int,
     hits = 0
     done = 0
     while done < samples:
-        take = min(chunk, samples - done)
+        take = min(SAMPLE_CHUNK, samples - done)
         draws = rng.choice(k, size=(take, n), p=spec.probs)
         counts = np.stack([np.sum(draws == x, axis=1) for x in range(k)], axis=1)
         ok = np.all((counts >= lo) & (counts <= hi), axis=1)

@@ -155,3 +155,11 @@ def test_unital_channels_cannot_lower_mixed_entropy():
     rho = DensityMatrix(TensorSpace.single("A", 2), rho.matrix)
     out = apply_channel(dephasing_channel(0.3), rho)
     assert entropy(out) >= entropy(rho) - 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_channel_rejects_non_finite(bad):
+    k = np.eye(2, dtype=complex)
+    k[0, 1] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        QuantumChannel(2, 2, (k,))

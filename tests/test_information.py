@@ -241,3 +241,13 @@ def test_ensemble_rates_match_generalized_information():
             gi = generalized_information(problem.ensemble_of(theta), chan)
             assert r_q[i] == pytest.approx(gi.r_q, abs=1e-12)
             assert r_c[i] == pytest.approx(gi.r_c, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ensemble_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        CQEnsemble(2, 1, np.array([bad, 1.0]), np.eye(2, dtype=complex))
+    vecs = np.eye(2, dtype=complex)
+    vecs[0, 1] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        CQEnsemble(2, 1, np.array([0.5, 0.5]), vecs)

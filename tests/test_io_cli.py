@@ -90,6 +90,11 @@ def test_channel_schema_errors():
         qio.channel_from_json({"dim_out": 2, "kraus": good["kraus"]})
     with pytest.raises(ValidationError):
         qio.channel_from_json({"dim_in": 2, "dim_out": 2, "kraus": []})
+    for dim in (2.7, "x", None, True):
+        with pytest.raises(ValidationError):
+            qio.channel_from_json({"dim_in": dim, "dim_out": 2, "kraus": good["kraus"]})
+    with pytest.raises(ValidationError):
+        qio.channel_from_json({"dim_in": 2, "dim_out": 2, "kraus": [[[[1, 0], [0, 0]]]]})
 
 
 def test_ensemble_schema_errors():
@@ -102,6 +107,14 @@ def test_ensemble_schema_errors():
     with pytest.raises(ValidationError):
         qio.ensemble_from_json({"dim_A": 2, "dim_R": 1,
                                 "entries": [{"vector": [[1.0, 0.0], [0.0, 0.0]]}]})
+    vec = [[1.0, 0.0], [0.0, 0.0]]
+    for bad in ({"dim_A": 2.5, "dim_R": 1, "entries": [{"p": 1.0, "vector": vec}]},
+                {"dim_A": 2, "dim_R": 1, "entries": [{"p": "1", "vector": vec}]},
+                {"dim_A": 2, "dim_R": 1, "entries": [{"p": float("nan"), "vector": vec}]},
+                {"dim_A": 2, "dim_R": 1, "entries": [{"p": 1.0, "vector": [[1.0, 0.0], [0.0]]}]},
+                {"dim_A": 2, "dim_R": 1, "entries": [{"p": 1.0, "vector": [[1.0, "0"], [0, 0]]}]}):
+        with pytest.raises(ValidationError):
+            qio.ensemble_from_json(bad)
 
 
 def test_resolve_channel_name_or_path(tmp_path):
@@ -151,6 +164,34 @@ def test_cli_info_state(tmp_path, capsys):
     assert payload["entropy"] == pytest.approx(0.0, abs=1e-10)
     assert payload["subsystem_entropies"]["A"] == pytest.approx(1.0, abs=1e-10)
     assert payload["subsystem_entropies"]["B"] == pytest.approx(1.0, abs=1e-10)
+
+
+GOOD_MATRIX = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+
+
+@pytest.mark.parametrize("dims, matrix", [
+    ([["A", 2.7]], GOOD_MATRIX),
+    ([["A", "two"]], GOOD_MATRIX),
+    ([["A", 2]], [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]),
+    ([["A", 2]], [[[0.5, 0.0], [0.0, "x"]], [[0.0, 0.0], [0.5, 0.0]]]),
+    ([["A", 2]], [[[0.5, 0.0], [float("nan"), 0.0]], [[float("nan"), 0.0], [0.5, 0.0]]]),
+])
+def test_cli_info_rejects_malformed_state(tmp_path, capsys, dims, matrix):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dims": dims, "matrix": matrix}), encoding="utf-8")
+    assert main(["info", "--state", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_info_state_with_many_subsystems(tmp_path, capsys):
+    # 14 subsystems need 28 tensor axes; a Bell pair sits on the outer two
+    dims = [("A0", 2)] + [(f"A{i}", 1) for i in range(1, 13)] + [("A13", 2)]
+    state = DensityMatrix(TensorSpace.of(*dims), bell_state().matrix)
+    assert main(["info", "--state", write_state(tmp_path / "wide.json", state)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["subsystem_entropies"]["A0"] == pytest.approx(1.0, abs=1e-10)
+    assert payload["subsystem_entropies"]["A13"] == pytest.approx(1.0, abs=1e-10)
+    assert payload["subsystem_entropies"]["A5"] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_cli_info_state_with_channel(tmp_path, capsys):

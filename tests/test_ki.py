@@ -5,14 +5,14 @@ import pytest
 from qcap.channels import apply_channel
 from qcap.errors import ValidationError
 from qcap.ki import (AlgebraBasis, decompose_algebra, generate_algebra,
-                     hermitian_basis, ki_decompose, ki_state,
-                     reverse_ki_channel, steered_operators)
-from qcap.linalg import (binary_entropy, entropy_from_probs, entropy_of_matrix,
-                         hermitize)
+                     ki_decompose, ki_state, reverse_ki_channel,
+                     steered_operators)
+from qcap.linalg import binary_entropy, entropy_from_probs, entropy_of_matrix
 from qcap.sampling import random_state, random_unitary, seed_rng
 from qcap.spaces import TensorSpace
 from qcap.states import (DensityMatrix, maximally_entangled, partial_trace,
                          permute_subsystems, trace_distance)
+from qcap.typicality import project_and_renormalize
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -239,15 +239,6 @@ def test_steered_operators_and_algebra_dims():
     assert [(f.dim_q, f.dim_n) for f in factors] == [(2, 1)]
 
 
-def test_hermitian_basis_spans():
-    basis = hermitian_basis(3)
-    assert basis.shape == (9, 3, 3)
-    for b in basis:
-        assert b == pytest.approx(hermitize(b), abs=1e-14)
-    flat = basis.reshape(9, 9)
-    assert np.linalg.matrix_rank(flat) == 9
-
-
 def test_larger_dimensions():
     # planted structures at d_A = 16 and 24, and a generic state at d_A = 16
     rng = seed_rng(2, "planted-large")
@@ -266,3 +257,23 @@ def test_larger_dimensions():
         assert kid.reconstruction_error <= 1e-8
         assert kid.s_c == pytest.approx(planted[0], abs=1e-8)
         assert kid.s_q_given_c == pytest.approx(planted[1], abs=1e-8)
+
+
+def test_projected_two_copy_source():
+    # the typical projection of omega^(x2) keeps one KI block per kept string
+    for seed in range(4):
+        rng = seed_rng(seed, "ki-projected")
+        m = np.zeros((2, 4, 2, 4), dtype=complex)
+        for c, pc in enumerate((0.35, 0.65)):
+            m[c, :, c, :] = pc * random_state([("Q", 2), ("R", 2)], rng).matrix
+        source = DensityMatrix(TensorSpace.of(("C", 2), ("Q", 2), ("R", 2)),
+                               m.reshape(8, 8))
+        for delta in (0.3, 0.45):
+            proj = project_and_renormalize(source, 2, delta)
+            kid = ki_decompose(proj.state, system=("C", "Q"), seed=seed)
+            weights = np.array([np.prod([(0.35, 0.65)[x] for x in s])
+                                for s in proj.kept_strings])
+            assert len(kid.blocks) == len(proj.kept_strings)
+            assert kid.s_c == pytest.approx(entropy_from_probs(weights / weights.sum()),
+                                            abs=1e-12)
+            assert kid.reconstruction_error <= 1e-8

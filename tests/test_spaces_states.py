@@ -1,4 +1,6 @@
 """Labeled tensor spaces, density matrices, and entropy helpers."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,37 @@ def test_block_form_parses_reordered_source():
     coherent[0, 8] = coherent[8, 0] = 1e-3
     with pytest.raises(ValidationError, match="not block diagonal over 'C'"):
         block_form(DensityMatrix(state.space, coherent), ("C", "Q", "R"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite(bad):
+    m = np.full((2, 2), 0.5, dtype=complex)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        DensityMatrix(TensorSpace.single("A", 2), m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pure_state_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        PureState(TensorSpace.single("A", 2), np.array([bad, 1.0]))
+
+
+def test_partial_trace_every_subset_matches_index_sum():
+    dims = (2, 3, 2)
+    rho = random_state([("A", 2), ("B", 3), ("C", 2)], seed_rng(5, "pt-subsets"))
+    t = rho.matrix.reshape(dims + dims)
+    for r in (1, 2, 3):
+        for keep in itertools.combinations(range(3), r):
+            kept_dims = [dims[k] for k in keep]
+            d = int(np.prod(kept_dims))
+            ref = np.zeros((d, d), dtype=complex)
+            for i in np.ndindex(*dims):
+                for j in np.ndindex(*dims):
+                    if all(i[k] == j[k] for k in range(3) if k not in keep):
+                        row = np.ravel_multi_index([i[k] for k in keep], kept_dims)
+                        col = np.ravel_multi_index([j[k] for k in keep], kept_dims)
+                        ref[row, col] += t[i + j]
+            got = partial_trace(rho, ["ABC"[k] for k in keep])
+            assert got.space.labels == tuple("ABC"[k] for k in keep)
+            assert got.matrix == pytest.approx(ref, abs=1e-15)

@@ -342,3 +342,36 @@ def test_conditional_functions_reject_bad_base_or_slack():
     for n, d in ((4, 0.0), (4, -0.5), (0, 0.1), (-4, 0.1)):
         with pytest.raises(ValidationError):
             conditional_dimension_bound(marg, cond, n, d)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spec_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        TypicalSpec([bad, 1.0], 3, 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_conditional_functions_reject_non_finite(bad):
+    cond = [[bad, 1.0]]
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        conditional_typical_count(cond, [0, 0], 0.1)
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        is_conditionally_typical([1, 1], [0, 0], cond, 0.1)
+
+
+def test_typical_projector_rejects_bad_block_length():
+    rho = np.diag([0.8, 0.2])
+    for n in (0, -2, 2.5):
+        with pytest.raises(ValidationError):
+            typical_projector(rho, n, 0.1)
+
+
+def test_spec_with_roundoff_negatives():
+    # a spec that validates also passes the conditional functions it delegates to
+    spec = TypicalSpec([0.5 + 0.5e-12, 0.5, -0.4e-12, -0.4e-12], 4, 0.3)
+    assert typical_count(spec) == 86
+    assert typical_mass(spec) == pytest.approx(0.875, abs=1e-11)
+    assert is_typical([0, 2, 0, 1], spec)
+    # clipping the negatives would push the sum past 1 + 1e-12
+    with pytest.raises(ValidationError):
+        TypicalSpec([0.5 + 1.5e-12, 0.5, -0.9e-12, -0.9e-12], 4, 0.3)
