@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QuantumChannel
-from .errors import ValidationError
+from .errors import ValidationError, _positive_int
 from .ki import KIDecomposition, ki_decompose
 from .states import DensityMatrix
 from .tradeoff import OptimizerOptions, TradeoffCurve, compute_curve
@@ -142,8 +142,7 @@ def plan_block(report: CapacityReport, kid: KIDecomposition, n: int,
     With an infinite or zero slope only the corresponding single constraint
     applies.  A degenerate source has no defined plan.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"block length must be a positive integer, got {n!r}")
+    n = _positive_int(n, f"block length must be a positive integer, got {n!r}")
     if delta <= 0:
         raise ValidationError(f"margin delta must be positive, got {delta}")
     if kid.s_cq <= _ENTROPY_ZERO or report.slope.degenerate:

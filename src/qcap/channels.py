@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ResourceLimitError, ValidationError
+from .errors import DimensionMismatchError, ResourceLimitError, ValidationError, _positive_int
 from .spaces import TensorSpace
 from .states import DensityMatrix
 
@@ -173,8 +173,7 @@ def tensor_channels(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
 
 def channel_power(channel: QuantumChannel, l: int) -> QuantumChannel:
     """The ``l``-fold tensor power of a channel."""
-    if not isinstance(l, int) or l < 1:
-        raise ValidationError(f"power must be a positive integer, got {l!r}")
+    l = _positive_int(l, f"power must be a positive integer, got {l!r}")
     cost = l * math.log2(max(channel.dim_in, channel.dim_out))
     if cost > POWER_LOG2_LIMIT:
         raise ResourceLimitError(

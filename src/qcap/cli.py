@@ -26,7 +26,7 @@ from .linalg import binary_entropy
 from .sampling import random_channel, random_pure, random_state, seed_rng
 from .spaces import TensorSpace
 from .states import (DensityMatrix, PureState, entropy, fidelity,
-                     partial_trace, purify, tensor, trace_distance)
+                     partial_trace, tensor, trace_distance)
 from .tradeoff import OptimizerOptions, compute_curve, default_t_grid
 from .typicality import (TypicalSpec, sample_typical_fraction, typical_count,
                          typical_dimension_bound, typical_mass)
@@ -79,15 +79,8 @@ def cmd_info(args) -> int:
                        for label in state.space.labels}}
         if args.channel is not None:
             channel = qio.resolve_channel(args.channel)
-            if args.target is None:
-                payload["coherent_information"] = coherent_information(state, channel)
-            else:
-                ref = "E"
-                while ref in state.space.labels:
-                    ref = ref + "'"
-                pure = purify(state, ref_label=ref)
-                payload["coherent_information"] = coherent_information(
-                    pure, channel, target=args.target)
+            marginal = state if args.target is None else partial_trace(state, args.target)
+            payload["coherent_information"] = coherent_information(marginal, channel)
     _emit(args, qio.dumps_canonical(payload))
     return 0
 

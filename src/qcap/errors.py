@@ -6,6 +6,7 @@ subclasses.  Iterative routines that fail to converge or to meet a residual
 tolerance raise :class:`NumericalFailureError`.  The command line maps the
 former to exit code 2 and the latter to exit code 3.
 """
+from numbers import Integral
 
 
 class QcapError(Exception):
@@ -34,3 +35,13 @@ class ResourceLimitError(ValidationError):
 
 class NumericalFailureError(QcapError):
     """An iterative numerical routine failed to reach its tolerance."""
+
+
+def _positive_int(value, message: str) -> int:
+    """``value`` as a Python int if it is a positive integer, else ValidationError.
+
+    Python and numpy integers pass; bool, floats and everything else do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValidationError(message)
+    return int(value)

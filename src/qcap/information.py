@@ -11,15 +11,17 @@ generalized information of the ensemble splits as
 where rho_x is the A-marginal of the branch psi_x.  With a trivial reference
 this reduces to the Holevo quantity of the induced classical-quantum ensemble,
 and a single-entry ensemble reduces to coherent information of its branch.
-The classical index never enters as an explicit tensor factor.  Each branch
-psi_x is pure, so S((N tensor id_R)(psi_x)) equals the entropy of the
-complementary output E_jk = Tr[K_j rho_x K_k^dagger] (Devetak & Shor, CMP
-256, 2005); the smaller of the two Gram matrices is diagonalized.  With a
-trivial reference (d_R = 1) S(BR) is S(B) itself, so the Holevo reduction
-r_q = 0 holds exactly.
+The classical index never enters as an explicit tensor factor, and neither
+does R: every rate depends on psi_x only through rho_x.  Each branch psi_x is
+pure, so S((N tensor id_R)(psi_x)) equals the entropy of the complementary
+output N^c(rho_x)_jk = Tr[K_j rho_x K_k^dagger] (Devetak & Shor, CMP 256,
+2005).  One fixed matrix per channel takes a batch of vec(rho_x) to both
+N(rho_x) and N^c(rho_x).  With a trivial reference (d_R = 1) S(BR) is S(B)
+itself, so the Holevo reduction r_q = 0 holds exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -29,7 +31,7 @@ from .channels import QuantumChannel, apply_channel, compose
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import batched_entropy, entropy_of_matrix
 from .spaces import TensorSpace
-from .states import DensityMatrix, PureState, purify
+from .states import DensityMatrix, PureState, partial_trace
 
 PROB_TOL = 1e-9
 MAX_ENSEMBLE_ENTRIES = 4096
@@ -108,28 +110,25 @@ class GeneralizedInfo(NamedTuple):
     r_q: float
 
 
-def _branch_outputs(kraus: np.ndarray, probs: np.ndarray, psi: np.ndarray):
-    """(avg sigma^B, sigma_x^B, joint_x) for kraus (K, d_B, d_A), probs (..., n)
-    and psi (..., n, d_A, d_R).
+def _output_map(kraus: np.ndarray) -> np.ndarray:
+    """Matrix taking row-major vec(rho) to [vec N(rho), vec N^c(rho)].
 
-    ``joint_x`` has the spectrum of sigma_x^{BR}: it is the complementary output
-    E_jk = Tr[phi_j phi_k^dagger], phi_k = K_k psi_x, when K < d_B d_R, and
-    sigma_x^{BR} otherwise.  For d_R = 1 it is the sigma_x^B array itself.
+    ``kraus`` has shape (K, d_B, d_A); the result has shape
+    (d_A^2, d_B^2 + K^2), with N^c(rho)_jk = Tr[K_j rho K_k^dagger].
     """
     n_k, d_b, d_a = kraus.shape
-    lead, d_r = psi.shape[:-2], psi.shape[-1]
-    phi = kraus.reshape(n_k * d_b, d_a) @ psi  # (..., K d_B, d_R)
-    m = phi.reshape(*lead, n_k, d_b, d_r).swapaxes(-3, -2).reshape(*lead, d_b, n_k * d_r)
-    sigma_b = m @ m.conj().swapaxes(-1, -2)
-    avg_b = (probs[..., None, None] * sigma_b).sum(axis=-3)
-    if d_r == 1:
-        return avg_b, sigma_b, sigma_b
-    phi = phi.reshape(*lead, n_k, d_b * d_r)
-    if n_k < d_b * d_r:
-        joint = phi @ phi.conj().swapaxes(-1, -2)
-    else:
-        joint = phi.swapaxes(-1, -2) @ phi.conj()
-    return avg_b, sigma_b, joint
+    direct = np.einsum("kba,kcd->adbc", kraus, kraus.conj()).reshape(d_a * d_a, d_b * d_b)
+    comp = np.einsum("jba,kbd->adjk", kraus, kraus.conj()).reshape(d_a * d_a, n_k * n_k)
+    return np.concatenate([direct, comp], axis=1)
+
+
+def _branch_outputs(out_map: np.ndarray, d_b: int, rho: np.ndarray):
+    """(N(rho), N^c(rho)) for a batch rho (..., d_A, d_A) and ``_output_map``."""
+    lead, d_a = rho.shape[:-2], rho.shape[-1]
+    n_k = math.isqrt(out_map.shape[1] - d_b * d_b)
+    out = rho.reshape(-1, d_a * d_a) @ out_map
+    return (out[:, :d_b * d_b].reshape(*lead, d_b, d_b),
+            out[:, d_b * d_b:].reshape(*lead, n_k, n_k))
 
 
 def generalized_information(ensemble: CQEnsemble, channel: QuantumChannel) -> GeneralizedInfo:
@@ -144,10 +143,11 @@ def generalized_information(ensemble: CQEnsemble, channel: QuantumChannel) -> Ge
             f"ensemble A dimension {ensemble.dim_a}")
     psi = ensemble.vectors.reshape(ensemble.size, ensemble.dim_a, ensemble.dim_r)
     p = ensemble.probs
-    avg_b, sigma_b, joint = _branch_outputs(np.stack(channel.kraus), p, psi)
+    sigma_b, env = _branch_outputs(_output_map(np.stack(channel.kraus)), channel.dim_out,
+                                   psi @ psi.conj().swapaxes(-1, -2))
     s_b = batched_entropy(sigma_b)
-    s_br = s_b if joint is sigma_b else batched_entropy(joint)
-    s_avg = entropy_of_matrix(avg_b)
+    s_br = s_b if ensemble.dim_r == 1 else batched_entropy(env)
+    s_avg = entropy_of_matrix((p[:, None, None] * sigma_b).sum(axis=0))
     r_c = float(s_avg - np.dot(p, s_b))
     r_q = float(np.dot(p, s_b - s_br))
     return GeneralizedInfo(r_c + r_q, r_c, r_q)
@@ -184,47 +184,24 @@ def holevo_information(ensemble, channel: QuantumChannel) -> float:
 
 def coherent_information(state: DensityMatrix | PureState, channel: QuantumChannel,
                          target: str | None = None) -> float:
-    """Coherent information S(B) - S(BR) of a channel on a given input.
+    """Coherent information S(B) - S(BR) = S(N(rho)) - S(N^c(rho)) of a channel.
 
-    A :class:`DensityMatrix` input is purified first (the whole state is the
-    channel input).  A :class:`PureState` input must live on an input-plus-
-    reference space; the channel acts on ``target`` (default: the first
-    subsystem) and everything else is the reference.
+    For a :class:`DensityMatrix` input the whole state is rho, the channel
+    input.  A :class:`PureState` input must live on an input-plus-reference
+    space; rho is its marginal on ``target`` (default: the first subsystem)
+    and everything else is the reference.
     """
-    if isinstance(state, DensityMatrix):
-        if state.dim != channel.dim_in:
-            raise DimensionMismatchError(
-                f"state dimension {state.dim} differs from channel input {channel.dim_in}")
-        ref = "R"
-        while ref in state.space.labels:
-            ref = ref + "'"
-        pure = purify(state, ref_label=ref)
-        keep_labels = (ref,)
-        in_labels = state.space.labels
-    else:
-        pure = state
-        if len(pure.space.labels) < 2:
+    if isinstance(state, PureState):
+        if len(state.space.labels) < 2:
             raise ValidationError("pure input must include a reference subsystem")
-        label = target if target is not None else pure.space.labels[0]
-        in_labels = (label,)
-        keep_labels = tuple(x for x in pure.space.labels if x != label)
-        (pos,) = pure.space.positions(label)
-        if pure.space.dims[pos] != channel.dim_in:
-            raise DimensionMismatchError(
-                f"subsystem {label!r} has dimension {pure.space.dims[pos]}, "
-                f"channel expects {channel.dim_in}")
-
-    # evaluate through the ensemble machinery with a single branch
-    ordered = pure
-    order = tuple(in_labels) + tuple(keep_labels)
-    if pure.space.labels != order:
-        perm = list(pure.space.positions(order))
-        vec = pure.vector.reshape(pure.space.dims).transpose(perm).reshape(-1)
-        ordered = PureState(pure.space.reorder(order), vec)
-    dim_a = ordered.space.dim_of(in_labels)
-    dim_r = ordered.space.dim // dim_a
-    ens = CQEnsemble(dim_a, dim_r, np.array([1.0]), ordered.vector[None, :])
-    return generalized_information(ens, channel).r_q
+        label = target if target is not None else state.space.labels[0]
+        state = partial_trace(state.density(), label)
+    if state.dim != channel.dim_in:
+        raise DimensionMismatchError(
+            f"state dimension {state.dim} differs from channel input {channel.dim_in}")
+    sigma_b, env = _branch_outputs(_output_map(np.stack(channel.kraus)), channel.dim_out,
+                                   state.matrix)
+    return entropy_of_matrix(sigma_b) - entropy_of_matrix(env)
 
 
 def data_processing_gap(ensemble: CQEnsemble, channel: QuantumChannel,

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import LabelCollisionError, UnknownLabelError, ValidationError
+from .errors import LabelCollisionError, UnknownLabelError, ValidationError, _positive_int
 
 
 def _as_label_set(labels: str | Iterable[str]) -> tuple[str, ...]:
@@ -41,8 +41,8 @@ class TensorSpace:
             label = str(label)
             if not label:
                 raise ValidationError("subsystem labels must be non-empty strings")
-            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-                raise ValidationError(f"dimension of {label!r} must be a positive integer, got {dim!r}")
+            dim = _positive_int(
+                dim, f"dimension of {label!r} must be a positive integer, got {dim!r}")
             if label in seen:
                 raise LabelCollisionError(f"label {label!r} appears twice")
             seen.add(label)

@@ -15,8 +15,8 @@ pin the curve endpoints; random restarts and warm starts from neighboring
 weights refine the interior.  Every returned point carries its witness
 ensemble, and re-evaluating a witness reproduces the recorded rates: the
 optimizer and :func:`qcap.information.generalized_information` share one
-contraction, which takes S((N tensor id)(psi_x)) from the complementary
-output E_jk = Tr[K_j rho_x K_k^dagger] whenever that matrix is the smaller.
+output map, which takes rho_x to N(rho_x) and to the complementary output
+N^c(rho_x)_jk = Tr[K_j rho_x K_k^dagger], whose entropy is S((N tensor id)(psi_x)).
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .channels import QuantumChannel, channel_power
 from .errors import NumericalFailureError, ValidationError
-from .information import CQEnsemble, _branch_outputs, generalized_information
+from .information import CQEnsemble, _branch_outputs, _output_map, generalized_information
 from .linalg import batched_entropy
 from . import optimize
 from .sampling import seed_rng
@@ -94,13 +94,13 @@ class _EnsembleProblem:
     def __init__(self, channel: QuantumChannel, l: int):
         power = channel_power(channel, l)
         self.level = l
-        self.kraus = np.stack(power.kraus)
+        self.out_map = _output_map(np.stack(power.kraus))
         self.d_a = power.dim_in
         self.d_b = power.dim_out
         self.d_r = power.dim_in
         self.n = self.d_a ** 2 + 2
         self.n_params = self.n + 2 * self.n * self.d_a * self.d_r
-        per_row = self.n * len(self.kraus) * self.d_b * self.d_r * 16
+        per_row = self.n * (self.d_b ** 2 + len(power.kraus) ** 2) * 16
         self.chunk = max(8, int(6e7 / max(per_row, 1)))
 
     def components(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,8 +121,10 @@ class _EnsembleProblem:
     def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Block (not per-use) values of (r_q, r_c) for a parameter batch."""
         probs, psi = self.components(thetas)
-        avg_b, sigma_b, joint = _branch_outputs(self.kraus, probs, psi)
-        s_br = batched_entropy(joint)
+        rho = psi @ psi.conj().swapaxes(-1, -2)
+        sigma_b, env = _branch_outputs(self.out_map, self.d_b, rho)
+        avg_b = (probs[..., None, None] * sigma_b).sum(axis=-3)
+        s_br = batched_entropy(env)
         s_b = batched_entropy(sigma_b)
         s_avg = batched_entropy(avg_b)
         r_c = s_avg - (probs * s_b).sum(axis=1)

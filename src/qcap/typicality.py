@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, _positive_int
 from .linalg import entropy_from_probs, hermitize
 from .sampling import seed_rng
 from .spaces import TensorSpace
@@ -52,12 +52,11 @@ class TypicalSpec:
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("probability vector must be 1-dimensional and non-empty")
         p = _validate_conditional(p[None])[0]
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValidationError(f"block length must be a positive integer, got {n!r}")
+        n = _positive_int(n, f"block length must be a positive integer, got {n!r}")
         if not delta > 0:
             raise ValidationError(f"slack must be positive, got {delta!r}")
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "delta", float(delta))
 
     @property
@@ -246,8 +245,10 @@ def conditional_dimension_bound(probs, cond, n: int, delta: float) -> float:
     m = _validate_conditional(cond)
     if p.size != m.shape[0]:
         raise ValidationError("marginal and conditional alphabet sizes differ")
-    if not isinstance(n, (int, np.integer)) or n < 1 or not delta > 0:
-        raise ValidationError(f"need n >= 1 and positive slack, got n={n!r}, delta={delta!r}")
+    message = f"need n >= 1 and positive slack, got n={n!r}, delta={delta!r}"
+    n = _positive_int(n, message)
+    if not delta > 0:
+        raise ValidationError(message)
     s_cond = float(np.sum([p[x] * entropy_from_probs(m[x]) for x in range(p.size)]))
     return n * (s_cond + conditional_dimension_constant(m) * float(delta))
 
@@ -324,8 +325,7 @@ def _basis_projector_sum(sequences, bases: list[np.ndarray], dim: int,
 
 def typical_projector(rho, n: int, delta: float) -> np.ndarray:
     """Projector onto the span of typical eigenbasis sequences of rho^(x n)."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"block length must be a positive integer, got {n!r}")
+    n = _positive_int(n, f"block length must be a positive integer, got {n!r}")
     return conditional_typical_projector([rho], [0] * n, delta)
 
 
@@ -375,8 +375,7 @@ def project_and_renormalize(omega: DensityMatrix, m: int, delta: float,
     """
     work, probs, branches = block_form(omega, (c_label, q_label, r_label))
     d_c, d_q, d_r = work.space.dims
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValidationError(f"power must be a positive integer, got {m!r}")
+    m = _positive_int(m, f"power must be a positive integer, got {m!r}")
     if m * math.log2(d_c * d_q) > PROJECTOR_LOG2_LIMIT:
         raise ResourceLimitError(
             f"projection needs m * log2(|C||Q|) <= {PROJECTOR_LOG2_LIMIT}")
@@ -435,8 +434,7 @@ def sample_typical_fraction(probs, n: int, delta: float, samples: int,
                             seed: int = 0) -> float:
     """Monte Carlo fraction of i.i.d. draws that land in the typical set."""
     spec = TypicalSpec(probs, n, delta)
-    if samples < 1:
-        raise ValidationError("sample count must be positive")
+    samples = _positive_int(samples, "sample count must be positive")
     rng = seed_rng(seed, "typical-fraction")
     lo, hi = spec.count_windows()
     k = spec.alphabet_size

@@ -162,6 +162,16 @@ def test_plan_block_validation():
         plan_block(report, kid, n=10, delta=0.0)
 
 
+def test_plan_block_integer_types():
+    kid = ki_decompose(bell_pair())
+    report = capacity_from_curve(line_curve(), kid)
+    plan = plan_block(report, kid, n=np.int64(100), delta=0.02)
+    assert plan == plan_block(report, kid, n=100, delta=0.02)
+    for bad in (True, 100.0):
+        with pytest.raises(ValidationError, match="block length"):
+            plan_block(report, kid, n=bad, delta=0.02)
+
+
 def test_generalized_capacity_end_to_end():
     report = generalized_capacity(bell_pair(), identity_channel(2),
                                   l=1, opts=SMALL)

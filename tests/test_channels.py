@@ -120,6 +120,15 @@ def test_tensor_channels_and_power():
         channel_power(dephasing_channel(0.1), 0)
 
 
+def test_channel_power_integer_types():
+    squared = channel_power(dephasing_channel(0.1), np.int64(2))
+    expected = channel_power(dephasing_channel(0.1), 2)
+    assert np.stack(squared.kraus) == pytest.approx(np.stack(expected.kraus), abs=0)
+    for bad in (True, 2.0):
+        with pytest.raises(ValidationError, match="positive integer"):
+            channel_power(dephasing_channel(0.1), bad)
+
+
 def test_stinespring_dilation():
     for i, chan in enumerate((dephasing_channel(0.15), erasure_channel(0.3),
                               random_channel(2, 3, 4, seed_rng(3, "stine", 0)))):

@@ -2,17 +2,17 @@
 import numpy as np
 import pytest
 
-from qcap.channels import (apply_channel, dephasing_channel,
-                           depolarizing_channel, identity_channel)
+from qcap.channels import (apply_channel, compose, dephasing_channel,
+                           depolarizing_channel, identity_channel, stinespring)
 from qcap.errors import DimensionMismatchError, ValidationError
-from qcap.information import (CQEnsemble, _branch_outputs, coherent_information,
-                              data_processing_gap, generalized_information,
-                              holevo_information)
+from qcap.information import (CQEnsemble, _branch_outputs, _output_map,
+                              coherent_information, data_processing_gap,
+                              generalized_information, holevo_information)
 from qcap.linalg import batched_entropy, binary_entropy
-from qcap.sampling import random_channel, seed_rng
+from qcap.sampling import random_channel, random_pure, random_state, seed_rng
 from qcap.spaces import TensorSpace
 from qcap.states import (DensityMatrix, PureState, entropy, partial_trace,
-                         maximally_entangled)
+                         maximally_entangled, purify)
 from qcap.tradeoff import _EnsembleProblem
 
 
@@ -130,6 +130,49 @@ def test_coherent_information_target_permutation():
     assert got == pytest.approx(1.0 - binary_entropy(0.2), abs=1e-12)
 
 
+def test_coherent_information_matches_explicit_purification():
+    # K at most and above d_B * rank; inputs on one and on two subsystems
+    spaces = (TensorSpace.single("A", 4), TensorSpace.of(("A1", 2), ("A2", 2)))
+    for s, space in enumerate(spaces):
+        for rank in (1, 2, 4):
+            for k in (2, 9):
+                rng = seed_rng(4, "coherent-purified", s, rank, k)
+                rho = random_state(space, rng, rank=rank)
+                chan = random_channel(4, 2, k, rng)
+                pure = purify(rho, ref_label="R")
+                joint = PureState(TensorSpace.of(("A", 4), ("R", rank)), pure.vector)
+                out = apply_channel(chan, joint.density(), target="A")
+                direct = entropy(partial_trace(out, "A")) - entropy(out)
+                assert coherent_information(rho, chan) == pytest.approx(direct, abs=1e-10)
+
+
+def test_coherent_information_pure_target_between_references():
+    rng = seed_rng(4, "coherent-middle")
+    psi = random_pure(TensorSpace.of(("R", 2), ("A", 3), ("R2", 2)), rng)
+    chan = random_channel(3, 2, 3, rng)
+    out = apply_channel(chan, psi.density(), target="A")
+    direct = entropy(partial_trace(out, "A")) - entropy(out)
+    assert coherent_information(psi, chan, target="A") == pytest.approx(direct, abs=1e-10)
+
+
+def test_output_map_matches_apply_channel_and_stinespring():
+    qubit = [random_channel(2, 2, 3, seed_rng(4, "map-compose", i)) for i in range(2)]
+    chans = [random_channel(d_a, d_b, k, seed_rng(4, "map-oracle", d_a, d_b, k))
+             for d_a, d_b, k in ((2, 2, 1), (2, 3, 2), (3, 2, 5))]
+    chans.append(compose(*qubit))  # K = 9 > d_A d_B
+    for i, chan in enumerate(chans):
+        k, d_b = len(chan.kraus), chan.dim_out
+        out_map = _output_map(np.stack(chan.kraus))
+        assert out_map.shape == (chan.dim_in ** 2, d_b ** 2 + k ** 2)
+        v = stinespring(chan)
+        for j in range(3):
+            rho = random_state(TensorSpace.single("A", chan.dim_in), seed_rng(4, "map-rho", i, j))
+            sigma_b, env = _branch_outputs(out_map, d_b, rho.matrix)
+            assert sigma_b == pytest.approx(apply_channel(chan, rho).matrix, abs=1e-12)
+            dilated = (v @ rho.matrix @ v.conj().T).reshape(d_b, k, d_b, k)
+            assert env == pytest.approx(np.einsum("bjbk->jk", dilated), abs=1e-12)
+
+
 def test_generalized_information_splits():
     chan = dephasing_channel(0.1)
     cc = classical_bit_ensemble(dim_r=2)
@@ -211,7 +254,7 @@ def test_holevo_reduction_exact_on_every_channel_shape():
 
 
 def test_branch_outputs_match_channel_oracle():
-    # K below, at and above d_B d_R, so both Gram factors are exercised
+    # K below, at and above d_B d_R
     for d_a, d_b, d_r, k in ((2, 2, 2, 2), (2, 2, 2, 4), (2, 2, 2, 6),
                              (2, 3, 3, 2), (3, 2, 2, 5)):
         rng = seed_rng(3, "branch-oracle", d_a, d_b, d_r, k)
@@ -220,8 +263,11 @@ def test_branch_outputs_match_channel_oracle():
         vecs = rng.normal(size=(3, d_a * d_r)) + 1j * rng.normal(size=(3, d_a * d_r))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         psi = vecs.reshape(3, d_a, d_r)
-        avg_b, sigma_b, joint = _branch_outputs(np.stack(chan.kraus), probs, psi)
-        assert joint.shape[-1] == min(k, d_b * d_r)
+        rho = psi @ psi.conj().swapaxes(-1, -2)
+        out_map = _output_map(np.stack(chan.kraus))
+        sigma_b, joint = _branch_outputs(out_map, d_b, rho)
+        avg_b, _ = _branch_outputs(out_map, d_b, np.tensordot(probs, rho, axes=1))
+        assert joint.shape[-1] == k
         space = TensorSpace.of(("A", d_a), ("R", d_r))
         outs = [apply_channel(chan, PureState(space, v).density(), target="A") for v in vecs]
         for x, out in enumerate(outs):

@@ -10,10 +10,10 @@ from qcap.channels import channel_from_name
 from qcap.cli import main
 from qcap.errors import ValidationError
 from qcap.linalg import binary_entropy
-from qcap.information import CQEnsemble
+from qcap.information import CQEnsemble, coherent_information
 from qcap.sampling import random_channel, random_state, seed_rng
 from qcap.spaces import TensorSpace
-from qcap.states import DensityMatrix
+from qcap.states import DensityMatrix, purify
 
 
 def bell_state() -> DensityMatrix:
@@ -209,6 +209,26 @@ def test_cli_info_channel_on_subsystem(tmp_path, capsys):
                  "--target", "A"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["coherent_information"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_cli_info_channel_on_middle_subsystem(tmp_path, capsys):
+    state = random_state(TensorSpace.of(("A", 2), ("B", 2), ("C", 3)),
+                         seed_rng(5, "cli-target"))
+    path = write_state(tmp_path / "abc.json", state)
+    assert main(["info", "--state", path, "--channel", "dephasing(0.2)",
+                 "--target", "B"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = coherent_information(purify(state, ref_label="E"),
+                                    channel_from_name("dephasing(0.2)"), target="B")
+    assert payload["coherent_information"] == pytest.approx(expected, abs=1e-10)
+    assert main(["info", "--state", path, "--channel", "dephasing(0.2)",
+                 "--target", "D"]) == 2
+
+
+def test_state_json_with_numpy_dimensions():
+    state = DensityMatrix(TensorSpace.of(("A", np.int64(2))), np.eye(2) / 2)
+    payload = json.loads(qio.dumps_canonical(qio.state_to_json(state)))
+    assert payload["dims"] == [["A", 2]]
 
 
 def test_cli_info_ensemble(tmp_path, capsys):

@@ -44,6 +44,15 @@ def test_space_rejects_bad_subsystems():
         space.positions("missing")
 
 
+def test_space_dimensions_accept_numpy_integers_only():
+    space = TensorSpace.of(("A", np.int64(2)), ("B", np.uint8(3)))
+    assert space.dims == (2, 3)
+    assert all(type(d) is int for d in space.dims)
+    for bad in (True, 2.0, np.float64(2.0), "2"):
+        with pytest.raises(ValidationError, match="positive integer"):
+            TensorSpace.of(("A", bad))
+
+
 def test_density_matrix_validation():
     space = TensorSpace.single("A", 2)
     with pytest.raises(DimensionMismatchError):

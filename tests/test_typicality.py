@@ -287,6 +287,24 @@ def test_sample_typical_fraction_concentrates_and_is_deterministic():
         sample_typical_fraction([0.3, 0.7], 2000, 0.05, 0)
 
 
+def test_integer_arguments_reject_bool_and_float():
+    p = [0.3, 0.7]
+    with pytest.raises(ValidationError, match="sample count"):
+        sample_typical_fraction(p, 10, 0.1, 2.5)
+    with pytest.raises(ValidationError, match="sample count"):
+        sample_typical_fraction(p, 10, 0.1, True)
+    assert sample_typical_fraction(p, 10, 0.1, np.int64(50)) == \
+        sample_typical_fraction(p, 10, 0.1, 50)
+    with pytest.raises(ValidationError, match="block length"):
+        TypicalSpec(p, True, 0.1)
+    with pytest.raises(ValidationError, match="block length"):
+        typical_projector(np.diag(p), True, 0.1)
+    with pytest.raises(ValidationError, match="need n >= 1"):
+        conditional_dimension_bound(p, np.eye(2), 2.0, 0.1)
+    with pytest.raises(ValidationError, match="power"):
+        project_and_renormalize(classical_bit(), True, 0.3)
+
+
 def test_enumerate_typical_matches_brute_force():
     rng = np.random.default_rng(11)
     for _ in range(60):
