@@ -227,8 +227,9 @@ def _estimate(source: ExtendedSource, kind: str, epsilon: float,
                 shortfall = np.clip(floor - fid, 0.0, None)
                 return value - kappa * shortfall ** 2
 
-            theta, _ = maximize(objective, theta, max_iters=opts.iters_per_stage,
-                                init_step=INIT_STEP, chunk=problem.chunk)
+            thetas, _ = maximize(objective, theta[None], max_iters=opts.iters_per_stage,
+                                 init_step=INIT_STEP, chunk=problem.chunk)
+            theta = thetas[0]
         return theta
 
     ascended = [ascend(theta) for theta in starts]

@@ -35,13 +35,34 @@ def entropy_of_matrix(m: np.ndarray) -> float:
     return entropy_from_probs(w)
 
 
+def _spectral_entropy(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entropy of raw eigenvalues (..., d): clipped at 0, normalized, cut off.
+
+    Returns (S, the normalized eigenvalues, the clipped trace (..., 1)).
+    """
+    w = np.clip(w, 0.0, None)
+    tot = np.clip(w.sum(axis=-1, keepdims=True), ENTROPY_CUTOFF, None)
+    w = w / tot
+    safe = np.where(w > ENTROPY_CUTOFF, w, 1.0)
+    return -(safe * np.log2(safe)).sum(axis=-1) + 0.0, w, tot
+
+
 def batched_entropy(mats: np.ndarray) -> np.ndarray:
     """Von Neumann entropies of a batch of matrices, shape (..., d, d) -> (...)."""
-    w = np.linalg.eigvalsh(hermitize(np.asarray(mats)))
-    w = np.clip(w, 0.0, None)
-    w = w / np.clip(w.sum(axis=-1, keepdims=True), ENTROPY_CUTOFF, None)
-    safe = np.where(w > ENTROPY_CUTOFF, w, 1.0)
-    return -(safe * np.log2(safe)).sum(axis=-1) + 0.0
+    return _spectral_entropy(np.linalg.eigvalsh(hermitize(np.asarray(mats))))[0]
+
+
+def entropy_and_gradient(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies S(M) of a batch (..., d, d) and their gradients dS/dM.
+
+    With M^ = M / Tr M, dS = Tr[G dM] for G = -(log2 M^ + S I) / Tr M
+    (Daleckii-Krein).  Eigenvalues are floored at ``ENTROPY_CUTOFF`` inside
+    the log, so G stays finite on rank-deficient M.
+    """
+    w, v = np.linalg.eigh(hermitize(np.asarray(mats)))
+    s, w, tot = _spectral_entropy(w)
+    coef = -(np.log2(np.maximum(w, ENTROPY_CUTOFF)) + s[..., None]) / tot
+    return s, (v * coef[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def binary_entropy(p: float) -> float:

@@ -8,11 +8,14 @@ A^l tensor R yields per-use rates
 
 and the level-l trade-off curve is the upper concave envelope over ensembles
 of the achievable (r_q, r_c) pairs, closed downward by its axis projections.
-The scalarization max (1-t) r_c + t r_q is maximized by batched gradient
-ascent over ensemble parameters (squared weights plus normalized complex
-vectors).  Deterministic classical and maximally entangled starting points
-pin the curve endpoints; random restarts and warm starts from neighboring
-weights refine the interior.  Every returned point carries its witness
+The scalarization max (1-t) r_c + t r_q is maximized by gradient ascent over
+ensemble parameters (squared weights plus normalized complex vectors), with
+the exact gradient: dS(sigma)/dsigma = -log sigma, pulled back to rho_x
+through the output map.  Deterministic classical and maximally entangled
+starting points pin the curve endpoints; random restarts and warm starts
+from neighboring weights refine the interior.  All starts of one solve
+ascend in lock step, one batched gradient and one batched line search per
+iteration.  Every returned point carries its witness
 ensemble, and re-evaluating a witness reproduces the recorded rates: the
 optimizer and :func:`qcap.information.generalized_information` share one
 output map, which takes rho_x to N(rho_x) and to the complementary output
@@ -21,14 +24,14 @@ N^c(rho_x)_jk = Tr[K_j rho_x K_k^dagger], whose entropy is S((N tensor id)(psi_x
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .channels import QuantumChannel, channel_power
 from .errors import NumericalFailureError, ValidationError
 from .information import CQEnsemble, _branch_outputs, _output_map, generalized_information
-from .linalg import batched_entropy
+from .linalg import batched_entropy, entropy_and_gradient
 from . import optimize
 from .sampling import seed_rng
 
@@ -118,18 +121,67 @@ class _EnsembleProblem:
         vec = np.where(norm > 1e-12, vec / np.where(norm > 1e-12, norm, 1.0), anchor)
         return probs, vec.reshape(b, self.n, self.d_a, self.d_r)
 
-    def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Block (not per-use) values of (r_q, r_c) for a parameter batch."""
+    def _outputs(self, thetas: np.ndarray):
+        """p_x, psi_x, N(rho_x), N^c(rho_x) and sum_x p_x N(rho_x) for a parameter batch."""
         probs, psi = self.components(thetas)
         rho = psi @ psi.conj().swapaxes(-1, -2)
         sigma_b, env = _branch_outputs(self.out_map, self.d_b, rho)
         avg_b = (probs[..., None, None] * sigma_b).sum(axis=-3)
+        return probs, psi, sigma_b, env, avg_b
+
+    def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Block (not per-use) values of (r_q, r_c) for a parameter batch."""
+        probs, _, sigma_b, env, avg_b = self._outputs(thetas)
         s_br = batched_entropy(env)
         s_b = batched_entropy(sigma_b)
         s_avg = batched_entropy(avg_b)
         r_c = s_avg - (probs * s_b).sum(axis=1)
         r_q = (probs * (s_b - s_br)).sum(axis=1)
         return r_q, r_c
+
+    def gradient(self, thetas: np.ndarray, t: float) -> np.ndarray:
+        """Exact gradient of (1 - t) r_c + t r_q (block values) for a batch (B, P).
+
+        The objective is (1-t) S(avg sigma) + sum_x p_x [(2t-1) S(sigma_x) - t S(E_x)]
+        with sigma_x = N(rho_x) and E_x = N^c(rho_x).  The entropy gradients of
+        the outputs go back to rho_x through the transpose of the output map,
+        which applies N^dagger and N^c^dagger at once, then through
+        rho = psi psi^dagger, psi = v / |v| and p = w^2 / sum w^2.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        b, n, d_a = thetas.shape[0], self.n, self.d_a
+        probs, psi, sigma_b, env, avg_b = self._outputs(thetas)
+        s_b, g_b = entropy_and_gradient(sigma_b)
+        s_e, g_e = entropy_and_gradient(env)
+        _, g_avg = entropy_and_gradient(avg_b)
+        g_avg = g_avg[:, None]
+
+        # d/dp_x at fixed rho_x; Tr[G sigma] = sum conj(G) * sigma for Hermitian G
+        q = (1.0 - t) * (g_avg.conj() * sigma_b).sum(axis=(-2, -1)).real \
+            + (2.0 * t - 1.0) * s_b - t * s_e
+        w = thetas[:, :n]
+        tot = (w * w).sum(axis=1, keepdims=True)
+        mean_q = (probs * q).sum(axis=1, keepdims=True)
+        # below the cutoffs ``components`` returns constants, whose gradient is 0
+        grad_w = 2.0 * w * (q - mean_q) / np.where(tot > 1e-12, tot, np.inf)
+
+        # d/drho_x: Tr[Gamma_rho d rho] pulled back from vec(Gamma^T) of both outputs
+        pw = probs[..., None, None]
+        gam_b = pw * ((1.0 - t) * g_avg + (2.0 * t - 1.0) * g_b)
+        gam_e = (-t) * pw * g_e
+        cot = np.concatenate([gam_b.swapaxes(-1, -2).reshape(b, n, -1),
+                              gam_e.swapaxes(-1, -2).reshape(b, n, -1)], axis=-1)
+        gam_rho = (cot @ self.out_map.T).reshape(b, n, d_a, d_a).swapaxes(-1, -2)
+        g_psi = (2.0 * gam_rho @ psi).reshape(b, n, -1)
+
+        raw = thetas[:, n:].reshape(b, n, 2, -1)
+        vec = raw[:, :, 0] + 1j * raw[:, :, 1]
+        norm = np.linalg.norm(vec, axis=2, keepdims=True)
+        psi = psi.reshape(b, n, -1)
+        radial = (psi.conj() * g_psi).sum(axis=2, keepdims=True).real
+        g_v = (g_psi - radial * psi) / np.where(norm > 1e-12, norm, np.inf)
+        return np.concatenate([grad_w, np.stack([g_v.real, g_v.imag], axis=2).reshape(b, -1)],
+                              axis=1)
 
     def ensemble_of(self, theta: np.ndarray) -> CQEnsemble:
         probs, psi = self.components(theta[None, :])
@@ -187,13 +239,11 @@ def evaluate_point(ensemble: CQEnsemble, channel: QuantumChannel, l: int = 1) ->
     return max(info.r_q, 0.0) / l, info.r_c / l
 
 
-def _optimize(problem: _EnsembleProblem,
-              combiner: Callable[[np.ndarray, np.ndarray], np.ndarray],
-              opts: OptimizerOptions,
+def _optimize(problem: _EnsembleProblem, t: float, opts: OptimizerOptions,
               extra_starts: Sequence[np.ndarray]) -> tuple[np.ndarray, float, bool]:
     def objective(thetas: np.ndarray) -> np.ndarray:
         r_q, r_c = problem.rates(thetas)
-        return combiner(r_q, r_c)
+        return (1.0 - t) * r_c + t * r_q
 
     rng = seed_rng(opts.seed, "tradeoff")
     canonical = problem.canonical_starts(rng)
@@ -207,13 +257,12 @@ def _optimize(problem: _EnsembleProblem,
         starts.append(problem.random_start(rng))
 
     baseline = float(np.max(objective(np.stack(canonical))))
-    results = [optimize.maximize(objective, start, max_iters=opts.max_iters,
-                                 init_step=INIT_STEP, chunk=problem.chunk)
-               for start in starts]
-    values = np.array([v for _, v in results])
+    thetas, values = optimize.maximize(objective, np.stack(starts), max_iters=opts.max_iters,
+                                       init_step=INIT_STEP, chunk=problem.chunk,
+                                       gradient=lambda th: problem.gradient(th, t))
     best = int(np.argmax(values))
     fell_back = bool(values[best] <= baseline + 1e-12)
-    return results[best][0], float(values[best]), fell_back
+    return thetas[best], float(values[best]), fell_back
 
 
 def optimize_scalarized(channel: QuantumChannel, l: int, t: float,
@@ -224,8 +273,7 @@ def optimize_scalarized(channel: QuantumChannel, l: int, t: float,
         raise ValidationError(f"scalarization weight {t} outside [0, 1]")
     opts = opts or OptimizerOptions()
     problem = _EnsembleProblem(channel, l)
-    theta, _, fell_back = _optimize(
-        problem, lambda rq, rc: (1.0 - t) * rc + t * rq, opts, extra_starts)
+    theta, _, fell_back = _optimize(problem, t, opts, extra_starts)
     ens = problem.ensemble_of(theta)
     r_q, r_c = evaluate_point(ens, channel, l)
     return ScalarizedResult(ensemble=ens, r_q=r_q, r_c=r_c,
