@@ -19,20 +19,12 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 def entropy_from_probs(p: np.ndarray) -> float:
     """Shannon entropy in bits of a nonnegative vector summing to ~1."""
-    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
-    total = p.sum()
-    if total > 0:
-        p = p / total
-    q = p[p > ENTROPY_CUTOFF]
-    if q.size == 0:
-        return 0.0
-    return float(-(q * np.log2(q)).sum()) + 0.0
+    return float(_spectral_entropy(np.asarray(p, dtype=float))[0])
 
 
 def entropy_of_matrix(m: np.ndarray) -> float:
     """Von Neumann entropy in bits of a single density matrix."""
-    w = np.linalg.eigvalsh(hermitize(np.asarray(m)))
-    return entropy_from_probs(w)
+    return float(batched_entropy(m))
 
 
 def _spectral_entropy(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

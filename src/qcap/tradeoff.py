@@ -9,16 +9,17 @@ A^l tensor R yields per-use rates
 and the level-l trade-off curve is the upper concave envelope over ensembles
 of the achievable (r_q, r_c) pairs, closed downward by its axis projections.
 The scalarization max (1-t) r_c + t r_q is maximized by gradient ascent over
-ensemble parameters (squared weights plus normalized complex vectors), with
-the exact gradient: dS(sigma)/dsigma = -log sigma, pulled back to rho_x
-through the output map.  Deterministic classical and maximally entangled
+one complex d_A x d_R matrix A_x per branch, read as the weighted branch
+state p_x rho_x = A_x A_x^dagger / sum_y |A_y|^2, with the exact gradient:
+dS(sigma)/dsigma = -log sigma, pulled back to p_x rho_x through the output
+map; psi_x = A_x / |A_x|.  Deterministic classical and maximally entangled
 starting points pin the curve endpoints; random restarts and warm starts
 from neighboring weights refine the interior.  All starts of one solve
 ascend in lock step, one batched gradient and one batched line search per
-iteration.  Every returned point carries its witness
-ensemble, and re-evaluating a witness reproduces the recorded rates: the
-optimizer and :func:`qcap.information.generalized_information` share one
-output map, which takes rho_x to N(rho_x) and to the complementary output
+iteration.  Every returned point carries its witness ensemble, and
+re-evaluating a witness reproduces the recorded rates: the optimizer and
+:func:`qcap.information.generalized_information` share one output map,
+which takes rho_x to N(rho_x) and to the complementary output
 N^c(rho_x)_jk = Tr[K_j rho_x K_k^dagger], whose entropy is S((N tensor id)(psi_x)).
 """
 from __future__ import annotations
@@ -92,7 +93,12 @@ class TradeoffCurve:
 
 
 class _EnsembleProblem:
-    """Batched rate evaluation for parameterized ensembles on A^l."""
+    """Batched rate evaluation for parameterized ensembles on A^l.
+
+    A parameter row holds one complex d_A x d_R matrix A_x per branch (real
+    parts, then imaginary parts).  X_x = A_x A_x^dagger / sum_y |A_y|^2 is the
+    weighted branch state p_x rho_x, so p_x = Tr X_x and psi_x = A_x / |A_x|.
+    """
 
     def __init__(self, channel: QuantumChannel, l: int):
         power = channel_power(channel, l)
@@ -102,36 +108,26 @@ class _EnsembleProblem:
         self.d_b = power.dim_out
         self.d_r = power.dim_in
         self.n = self.d_a ** 2 + 2
-        self.n_params = self.n + 2 * self.n * self.d_a * self.d_r
+        self.n_params = 2 * self.n * self.d_a * self.d_r
         per_row = self.n * (self.d_b ** 2 + len(power.kraus) ** 2) * 16
         self.chunk = max(8, int(6e7 / max(per_row, 1)))
 
-    def components(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        thetas = np.asarray(thetas, dtype=float)
-        b = thetas.shape[0]
-        w = thetas[:, :self.n]
-        wsq = w * w
-        tot = wsq.sum(axis=1, keepdims=True)
-        probs = np.where(tot > 1e-12, wsq / np.where(tot > 1e-12, tot, 1.0), 1.0 / self.n)
-        raw = thetas[:, self.n:].reshape(b, self.n, 2, self.d_a * self.d_r)
-        vec = raw[:, :, 0] + 1j * raw[:, :, 1]
-        norm = np.linalg.norm(vec, axis=2, keepdims=True)
-        anchor = np.zeros_like(vec)
-        anchor[:, :, 0] = 1.0
-        vec = np.where(norm > 1e-12, vec / np.where(norm > 1e-12, norm, 1.0), anchor)
-        return probs, vec.reshape(b, self.n, self.d_a, self.d_r)
+    def _matrices(self, thetas: np.ndarray) -> np.ndarray:
+        raw = np.asarray(thetas, dtype=float).reshape(len(thetas), self.n, 2, self.d_a, self.d_r)
+        return raw[:, :, 0] + 1j * raw[:, :, 1]
 
     def _outputs(self, thetas: np.ndarray):
-        """p_x, psi_x, N(rho_x), N^c(rho_x) and sum_x p_x N(rho_x) for a parameter batch."""
-        probs, psi = self.components(thetas)
-        rho = psi @ psi.conj().swapaxes(-1, -2)
-        sigma_b, env = _branch_outputs(self.out_map, self.d_b, rho)
-        avg_b = (probs[..., None, None] * sigma_b).sum(axis=-3)
-        return probs, psi, sigma_b, env, avg_b
+        """A_x, sum_y |A_y|^2, p_x, N(X_x), N^c(X_x) and sum_x N(X_x) for a parameter batch."""
+        a = self._matrices(thetas)
+        mass = (a.real ** 2 + a.imag ** 2).sum(axis=(2, 3))
+        total = mass.sum(axis=1, keepdims=True)
+        sigma_b, env = _branch_outputs(self.out_map, self.d_b,
+                                       a @ a.conj().swapaxes(-1, -2) / total[..., None, None])
+        return a, total, mass / total, sigma_b, env, sigma_b.sum(axis=-3)
 
     def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Block (not per-use) values of (r_q, r_c) for a parameter batch."""
-        probs, _, sigma_b, env, avg_b = self._outputs(thetas)
+        _, _, probs, sigma_b, env, avg_b = self._outputs(thetas)
         s_br = batched_entropy(env)
         s_b = batched_entropy(sigma_b)
         s_avg = batched_entropy(avg_b)
@@ -142,57 +138,45 @@ class _EnsembleProblem:
     def gradient(self, thetas: np.ndarray, t: float) -> np.ndarray:
         """Exact gradient of (1 - t) r_c + t r_q (block values) for a batch (B, P).
 
-        The objective is (1-t) S(avg sigma) + sum_x p_x [(2t-1) S(sigma_x) - t S(E_x)]
-        with sigma_x = N(rho_x) and E_x = N^c(rho_x).  The entropy gradients of
-        the outputs go back to rho_x through the transpose of the output map,
-        which applies N^dagger and N^c^dagger at once, then through
-        rho = psi psi^dagger, psi = v / |v| and p = w^2 / sum w^2.
+        The objective is (1-t) S(sum_x N(X_x)) + sum_x Tr X_x h_x with
+        h_x = (2t-1) S(sigma_x) - t S(E_x), sigma_x and E_x the normalized
+        N(X_x) and N^c(X_x).  The entropy gradients of the outputs go back to
+        X_x through the transpose of the output map, which applies N^dagger
+        and N^c^dagger at once; d Tr X_x adds h_x I.  Through
+        X = A A^dagger / sum |A|^2 the gradient Gamma_x in X_x becomes
+        2 (Gamma_x - c I) A_x / sum |A|^2 with c = sum_x Tr[Gamma_x X_x].
         """
-        thetas = np.asarray(thetas, dtype=float)
-        b, n, d_a = thetas.shape[0], self.n, self.d_a
-        probs, psi, sigma_b, env, avg_b = self._outputs(thetas)
+        b, n, d_a = len(thetas), self.n, self.d_a
+        a, total, probs, sigma_b, env, avg_b = self._outputs(thetas)
         s_b, g_b = entropy_and_gradient(sigma_b)
         s_e, g_e = entropy_and_gradient(env)
         _, g_avg = entropy_and_gradient(avg_b)
-        g_avg = g_avg[:, None]
 
-        # d/dp_x at fixed rho_x; Tr[G sigma] = sum conj(G) * sigma for Hermitian G
-        q = (1.0 - t) * (g_avg.conj() * sigma_b).sum(axis=(-2, -1)).real \
-            + (2.0 * t - 1.0) * s_b - t * s_e
-        w = thetas[:, :n]
-        tot = (w * w).sum(axis=1, keepdims=True)
-        mean_q = (probs * q).sum(axis=1, keepdims=True)
-        # below the cutoffs ``components`` returns constants, whose gradient is 0
-        grad_w = 2.0 * w * (q - mean_q) / np.where(tot > 1e-12, tot, np.inf)
-
-        # d/drho_x: Tr[Gamma_rho d rho] pulled back from vec(Gamma^T) of both outputs
+        # Tr[Gamma dX] pulled back from vec(Gamma^T) of both outputs
         pw = probs[..., None, None]
-        gam_b = pw * ((1.0 - t) * g_avg + (2.0 * t - 1.0) * g_b)
+        gam_b = (1.0 - t) * g_avg[:, None] + (2.0 * t - 1.0) * pw * g_b
         gam_e = (-t) * pw * g_e
         cot = np.concatenate([gam_b.swapaxes(-1, -2).reshape(b, n, -1),
                               gam_e.swapaxes(-1, -2).reshape(b, n, -1)], axis=-1)
-        gam_rho = (cot @ self.out_map.T).reshape(b, n, d_a, d_a).swapaxes(-1, -2)
-        g_psi = (2.0 * gam_rho @ psi).reshape(b, n, -1)
-
-        raw = thetas[:, n:].reshape(b, n, 2, -1)
-        vec = raw[:, :, 0] + 1j * raw[:, :, 1]
-        norm = np.linalg.norm(vec, axis=2, keepdims=True)
-        psi = psi.reshape(b, n, -1)
-        radial = (psi.conj() * g_psi).sum(axis=2, keepdims=True).real
-        g_v = (g_psi - radial * psi) / np.where(norm > 1e-12, norm, np.inf)
-        return np.concatenate([grad_w, np.stack([g_v.real, g_v.imag], axis=2).reshape(b, -1)],
-                              axis=1)
+        gam = (cot @ self.out_map.T).reshape(b, n, d_a, d_a).swapaxes(-1, -2)
+        h = (2.0 * t - 1.0) * s_b - t * s_e
+        g_a = gam @ a + h[..., None, None] * a
+        total = total[..., None, None]
+        c = (a.conj() * g_a).real.sum(axis=(1, 2, 3), keepdims=True) / total
+        g_a = 2.0 * (g_a - c * a) / total
+        return np.stack([g_a.real, g_a.imag], axis=2).reshape(b, -1)
 
     def ensemble_of(self, theta: np.ndarray) -> CQEnsemble:
-        probs, psi = self.components(theta[None, :])
-        return CQEnsemble(self.d_a, self.d_r, probs[0],
-                          psi[0].reshape(self.n, self.d_a * self.d_r))
+        vecs = self._matrices(theta[None, :])[0].reshape(self.n, -1)
+        mass = np.linalg.norm(vecs, axis=1) ** 2
+        vecs[mass == 0, 0] = 1.0  # a branch of weight 0 still needs a unit vector
+        return CQEnsemble(self.d_a, self.d_r, mass / mass.sum(),
+                          vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
 
     def pack(self, weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        raw = np.empty((self.n, 2, self.d_a * self.d_r))
-        raw[:, 0] = vectors.real
-        raw[:, 1] = vectors.imag
-        return np.concatenate([np.asarray(weights, float), raw.reshape(-1)])
+        """Parameters with A_x = w_x v_x."""
+        a = np.asarray(weights, float)[:, None] * vectors
+        return np.stack([a.real, a.imag], axis=1).reshape(-1)
 
     def canonical_starts(self, rng: np.random.Generator) -> list[np.ndarray]:
         """Deterministic classical-basis and maximally entangled starts."""
@@ -252,6 +236,8 @@ def _optimize(problem: _EnsembleProblem, t: float, opts: OptimizerOptions,
         theta = np.asarray(extra, dtype=float)
         if theta.shape != (problem.n_params,):
             raise ValidationError("warm start has the wrong parameter shape")
+        if not theta.any():
+            raise ValidationError("warm start has all branch matrices zero")
         starts.append(theta)
     for _ in range(opts.restarts):
         starts.append(problem.random_start(rng))
@@ -283,6 +269,8 @@ def optimize_scalarized(channel: QuantumChannel, l: int, t: float,
 
 def default_t_grid(count: int = 21) -> np.ndarray:
     """Chebyshev-spaced scalarization weights on [0, 1], endpoints included."""
+    if count < 2:
+        raise ValidationError(f"a weight grid needs at least 2 points, got {count}")
     k = np.arange(count)
     return 0.5 * (1.0 - np.cos(np.pi * k / (count - 1)))
 

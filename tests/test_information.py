@@ -282,9 +282,14 @@ def test_ensemble_rates_match_generalized_information():
         chan = random_channel(2, d_b, k, seed_rng(3, "rates-oracle-chan", d_b, k))
         problem = _EnsembleProblem(chan, 1)
         thetas = seed_rng(3, "rates-oracle", d_b, k).normal(size=(8, problem.n_params))
+        # one branch matrix zeroed: weight 0, and a unit anchor vector in the witness
+        thetas[-1].reshape(problem.n, -1)[1] = 0.0
         r_q, r_c = problem.rates(thetas)
         for i, theta in enumerate(thetas):
-            gi = generalized_information(problem.ensemble_of(theta), chan)
+            ens = problem.ensemble_of(theta)
+            if i == len(thetas) - 1:
+                assert ens.probs[1] == 0.0 and ens.vectors[1, 0] == 1.0
+            gi = generalized_information(ens, chan)
             assert r_q[i] == pytest.approx(gi.r_q, abs=1e-12)
             assert r_c[i] == pytest.approx(gi.r_c, abs=1e-12)
 

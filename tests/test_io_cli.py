@@ -1,5 +1,6 @@
 """Serialization round trips and command-line entry points."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,15 @@ def test_cli_curve_json_and_csv(tmp_path, capsys):
     cells = lines[1].split(",")
     assert len(cells) == 4
     float(cells[0]), float(cells[1])
+
+
+def test_cli_curve_rejects_single_point_grid(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        assert main(["curve", "--channel", "identity(2)", "--points", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least 2 points" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_cli_capacity(tmp_path, capsys):

@@ -73,6 +73,9 @@ def test_default_t_grid():
     assert np.all(np.diff(grid) > 0)
     # Chebyshev spacing clusters near both endpoints
     assert grid[1] < 1.0 / 40.0
+    for count in (1, 0, -3):
+        with pytest.raises(ValidationError, match="at least 2 points"):
+            default_t_grid(count)
 
 
 def test_optimize_scalarized_identity_endpoints():
@@ -82,6 +85,24 @@ def test_optimize_scalarized_identity_endpoints():
     assert res.r_c == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValidationError):
         optimize_scalarized(identity_channel(2), 1, 1.5, SMALL)
+
+
+def test_dephasing_holevo_endpoint_reaches_one_bit():
+    # the t = 0 solve reaches the closed form C = 1 bit of any dephasing channel
+    res = optimize_scalarized(dephasing_channel(0.1), 1, 0.0,
+                              OptimizerOptions(restarts=4, max_iters=50, seed=2))
+    assert res.value >= 1 - 1e-9
+
+
+def test_warm_start_validation():
+    n_params = _EnsembleProblem(identity_channel(2), 1).n_params
+    with pytest.raises(ValidationError, match="wrong parameter shape"):
+        optimize_scalarized(identity_channel(2), 1, 0.5, SMALL,
+                            extra_starts=[np.ones(n_params + 1)])
+    # every branch matrix zero leaves the weighted branch states 0 / 0
+    with pytest.raises(ValidationError, match="all branch matrices zero"):
+        optimize_scalarized(identity_channel(2), 1, 0.5, SMALL,
+                            extra_starts=[np.zeros(n_params)])
 
 
 def test_curve_identity_matches_line():
