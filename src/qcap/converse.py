@@ -17,12 +17,16 @@ the two estimated quantities are
     W = S(hatC | C') = sum_c p_c S(phi_c^{hatC}).
 
 Maximization runs penalized gradient ascent over the isometry parameters with
-an escalating quadratic penalty on the fidelity shortfall.  The identity
-embedding U0 |cq> = |cq>|0>_E is always included as a start; it is exactly
-feasible at every eps, so a feasible witness always exists.  Estimates are
-lower bounds on the true constrained maxima.  Grids over eps reuse each
-level's witness at the next level, which makes the reported values monotone
-in eps by construction.
+an escalating quadratic penalty on the fidelity shortfall.  The gradient is
+exact: entropy gradients (Daleckii-Krein) and the fidelity gradient are pulled
+back through the Gram products and the phase-fixed QR, so central differences
+serve only as the tests' oracle.  All starts of one penalty stage ascend in
+lock step, one batched gradient and one batched line search per iteration.
+The identity embedding U0 |cq> = |cq>|0>_E is always included as a start; it
+is exactly feasible at every eps, so a feasible witness always exists.
+Estimates are lower bounds on the true constrained maxima.  Grids over eps
+reuse each level's witness at the next level, which makes the reported values
+monotone in eps by construction.
 """
 from __future__ import annotations
 
@@ -31,8 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
-from .linalg import batched_entropy, hermitize, phase_fixed_qr, sqrt_psd
+from .errors import DimensionMismatchError, ValidationError, _nonnegative_int, _positive_int
+from .linalg import (SUPPORT_CUTOFF, batched_entropy, entropy_and_gradient, hermitize,
+                     phase_fixed_qr, phase_fixed_qr_adjoint, sqrt_psd)
 from .optimize import maximize
 from .sampling import seed_rng
 from .states import DensityMatrix, block_form
@@ -52,6 +57,13 @@ class ConverseOptions:
     iters_per_stage: int = 25
     stages: int = 4
     seed: int = 0
+
+    def __post_init__(self):
+        _nonnegative_int(self.restarts,
+                         f"restarts must be a non-negative integer, got {self.restarts!r}")
+        _positive_int(self.iters_per_stage,
+                      f"iters_per_stage must be a positive integer, got {self.iters_per_stage!r}")
+        _positive_int(self.stages, f"stages must be a positive integer, got {self.stages!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +133,7 @@ class GadgetEstimate:
 
 
 class _GadgetProblem:
-    """Batched evaluation of (objective, fidelity) over isometry parameters."""
+    """Batched (objective, fidelity) and penalized gradients over isometry parameters."""
 
     def __init__(self, source: ExtendedSource, kind: str):
         if kind not in ("Y", "W"):
@@ -136,11 +148,13 @@ class _GadgetProblem:
         per_row = self.dim_out * source.dim_r * source.dim_rp * 16 * source.dim_c
         self.chunk = max(16, int(4e7 / max(per_row, 1)))
 
+    def _matrices(self, thetas: np.ndarray) -> np.ndarray:
+        raw = np.asarray(thetas, dtype=float).reshape(
+            len(thetas), 2, self.dim_out, self.src.dim_cq)
+        return raw[:, 0] + 1j * raw[:, 1]
+
     def isometries(self, thetas: np.ndarray) -> np.ndarray:
-        b = thetas.shape[0]
-        cq = self.src.dim_cq
-        raw = thetas.reshape(b, 2, self.dim_out, cq)
-        return phase_fixed_qr(raw[:, 0] + 1j * raw[:, 1])
+        return phase_fixed_qr(self._matrices(thetas))
 
     def params_of(self, isometry: np.ndarray) -> np.ndarray:
         return np.concatenate([isometry.real.reshape(-1), isometry.imag.reshape(-1)])
@@ -153,51 +167,133 @@ class _GadgetProblem:
             view[j, 0, j] = 1.0
         return self.params_of(u0)
 
-    def evaluate(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Objective values and fidelities for a parameter batch.
+    def _forward(self, thetas: np.ndarray):
+        """A, U = phase_fixed_qr(A), phi and g for a parameter batch.
 
-        Every reduced state is a Gram matrix of the weighted branch outputs
-        sqrt(p_x) (U tensor 1_{RR'}) |x>|omega_x>.  The E- and C'-traced state
-        rho_y on hatC hatQ R R' is formed once; the hatC and hatC hatQ R
-        marginals are its partial traces.
+        phi[b, x, (a, e), w] = sqrt(p_x) (U tensor 1_{RR'}) |x>|omega_x> is
+        branch x pushed through the isometry, with a = hatC hatQ and w = RR'.
+        Every reduced state is a Gram matrix of it: W's p_x rho_x^{hatC} are
+        its branch blocks, and with g[b, (a, w), (x, e)] the E- and C'-traced
+        state on hatC hatQ R R' is rho_y = g g^dagger.
         """
         src = self.src
-        iso = self.isometries(np.asarray(thetas, dtype=float))
-        b = iso.shape[0]
-        c, qd, r, rp = src.dim_c, src.dim_q, src.dim_r, src.dim_rp
-        cq, e, w = src.dim_cq, self.dim_e, src.dim_r * src.dim_rp
-        # phi[b, x, (a, e), w]: branch x pushed through the isometry, w = RR'
+        a = self._matrices(thetas)
+        iso = phase_fixed_qr(a)
+        b, c, qd = len(a), src.dim_c, src.dim_q
+        w = src.dim_r * src.dim_rp
         phi = iso.reshape(b, self.dim_out, c, qd).transpose(0, 2, 1, 3) \
             @ src.branches.reshape(c, qd, w)
         phi *= np.sqrt(src.probs)[:, None, None]
+        g = phi.reshape(b, c, src.dim_cq, self.dim_e, w).transpose(0, 2, 4, 1, 3) \
+            .reshape(b, src.dim_cq * w, c * self.dim_e)
+        return a, iso, phi, g
+
+    def _marginal_c(self, rho_y: np.ndarray) -> np.ndarray:
+        c, rest = self.src.dim_c, rho_y.shape[-1] // self.src.dim_c
+        return np.trace(rho_y.reshape(-1, c, rest, c, rest), axis1=2, axis2=4)
+
+    def _fidelity_operator(self, rho_y: np.ndarray) -> np.ndarray:
+        """M = sqrt(omega) rho_f sqrt(omega) with rho_f = Tr_{R'} rho_y; F = Tr sqrt(M)."""
+        rp = self.src.dim_rp
+        f = rho_y.shape[-1] // rp
+        rho_f = np.trace(rho_y.reshape(-1, f, rp, f, rp), axis1=2, axis2=4)
+        return self.target_sqrt[None] @ rho_f @ self.target_sqrt[None]
+
+    def evaluate(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objective values and fidelities for a parameter batch.
+
+        rho_y is formed once; the hatC and hatC hatQ R marginals are its
+        partial traces.
+        """
+        src = self.src
+        _, _, phi, g = self._forward(thetas)
+        b, c = len(g), src.dim_c
         if self.kind == "W":
             # per branch p_x rho_x^{hatC}; the entropy normalizes away the weight
-            per_x = phi.reshape(b, c, c, qd * e * w)
+            per_x = phi.reshape(b, c, c, -1)
             value = batched_entropy(per_x @ per_x.conj().swapaxes(-1, -2)) @ src.probs
-        # g[b, (a, w), (x, e)], so rho_y = g g^dagger and the C'E output is g^dagger g
-        g = phi.reshape(b, c, cq, e, w).transpose(0, 2, 4, 1, 3).reshape(b, cq * w, c * e)
         del phi
+        # the C'E output g^dagger g has rho_y's spectrum
         g_h = g.conj().swapaxes(1, 2)
         rho_y = g @ g_h
         if self.kind == "Y":
-            s_y = batched_entropy(rho_y if cq * w <= c * e else g_h @ g)
-            rho_c = np.trace(rho_y.reshape(b, c, qd * w, c, qd * w), axis1=2, axis2=4)
-            value = s_y - batched_entropy(rho_c)
-        rho_f = np.trace(rho_y.reshape(b, cq * r, rp, cq * r, rp), axis1=2, axis2=4)
-        m = self.target_sqrt[None] @ rho_f @ self.target_sqrt[None]
-        eigs = np.clip(np.linalg.eigvalsh(hermitize(m)), 0.0, None)
+            s_y = batched_entropy(rho_y if g.shape[1] <= g.shape[2] else g_h @ g)
+            value = s_y - batched_entropy(self._marginal_c(rho_y))
+        eigs = np.clip(np.linalg.eigvalsh(hermitize(self._fidelity_operator(rho_y))), 0.0, None)
         fid = np.minimum(np.sqrt(eigs).sum(axis=1), 1.0)
         return value, fid
+
+    def gradient(self, thetas: np.ndarray, floor: float, kappa: float) -> np.ndarray:
+        """Exact gradient of value - kappa * max(0, floor - F)^2 for a batch (B, P).
+
+        Each term is Tr[Gamma d(h h^dagger)] for a Gram factor h, which pulls
+        back to h as 2 Gamma h.  On rho_y = g g^dagger, Gamma holds Y's entropy
+        gradient G_y minus G_c tensor 1 for S(hatC), and the penalty's
+        2 kappa (floor - F) dF/drho_f tensor 1_{R'}, where
+        dF/drho_f = sqrt(omega) M^{-1/2} sqrt(omega) / 2 over the eigenvalues
+        of M above ``SUPPORT_CUTOFF``.  W puts p_x G_x on each branch block of
+        phi.  Through phi = sqrt(p_x) U_x B_x the result reaches U, and the
+        phase-fixed QR adjoint takes it to A.
+        """
+        src = self.src
+        a, iso, phi, g = self._forward(thetas)
+        b, c, qd = len(a), src.dim_c, src.dim_q
+        w = src.dim_r * src.dim_rp
+        g_h = g.conj().swapaxes(1, 2)
+        rho_y = g @ g_h
+        if self.kind == "Y":
+            if g.shape[1] <= g.shape[2]:
+                g_bar = 2.0 * entropy_and_gradient(rho_y)[1] @ g
+            else:
+                g_bar = 2.0 * g @ entropy_and_gradient(g_h @ g)[1]
+            g_c = entropy_and_gradient(self._marginal_c(rho_y))[1]
+            g_bar -= 2.0 * (g_c @ g.reshape(b, c, -1)).reshape(g.shape)
+        else:
+            g_bar = np.zeros_like(g)
+        lam, vec = np.linalg.eigh(hermitize(self._fidelity_operator(rho_y)))
+        fid = np.minimum(np.sqrt(np.clip(lam, 0.0, None)).sum(axis=1), 1.0)
+        # floor <= 1, so the shortfall is 0 wherever min(., 1) clips the fidelity;
+        # the 2 of 2 kappa and the 1/2 of dF/drho_f cancel
+        pull = kappa * np.clip(floor - fid, 0.0, None)
+        inv_sqrt = np.where(lam > SUPPORT_CUTOFF,
+                            1.0 / np.sqrt(np.maximum(lam, SUPPORT_CUTOFF)), 0.0)
+        d_f = self.target_sqrt[None] @ (vec * (pull[:, None] * inv_sqrt)[:, None, :]) \
+            @ vec.conj().swapaxes(1, 2) @ self.target_sqrt[None]
+        g_bar += 2.0 * (d_f @ g.reshape(b, d_f.shape[-1], -1)).reshape(g.shape)
+
+        phi_bar = g_bar.reshape(b, src.dim_cq, w, c, self.dim_e).transpose(0, 3, 1, 4, 2) \
+            .reshape(phi.shape)
+        if self.kind == "W":
+            per_x = phi.reshape(b, c, c, -1)
+            g_x = entropy_and_gradient(per_x @ per_x.conj().swapaxes(-1, -2))[1]
+            phi_bar += (2.0 * src.probs[:, None, None] * g_x @ per_x).reshape(phi.shape)
+        u_bar = np.sqrt(src.probs)[:, None, None] * phi_bar \
+            @ src.branches.reshape(c, qd, w).conj().swapaxes(-1, -2)
+        u_bar = u_bar.transpose(0, 2, 1, 3).reshape(iso.shape)
+        a_bar = phase_fixed_qr_adjoint(a, iso, u_bar)
+        return np.stack([a_bar.real, a_bar.imag], axis=1).reshape(b, -1)
+
+
+def _checked_isometry(problem: _GadgetProblem, isometry: np.ndarray) -> np.ndarray:
+    """``isometry`` as a complex array, checked for shape, finiteness and orthonormal columns."""
+    iso = np.asarray(isometry, dtype=complex)
+    if iso.shape != (problem.dim_out, problem.src.dim_cq):
+        raise DimensionMismatchError(
+            f"isometry shape {iso.shape} differs from ({problem.dim_out}, {problem.src.dim_cq})")
+    if not np.isfinite(iso).all():
+        raise ValidationError("isometry has non-finite entries")
+    err = np.abs(iso.conj().T @ iso - np.eye(iso.shape[1])).max()
+    if err > 1e-8:
+        raise ValidationError(
+            f"isometry columns are not orthonormal (max |U^dagger U - 1| = {err:.2e})")
+    return iso
 
 
 def evaluate_isometry(source: ExtendedSource, kind: str,
                       isometry: np.ndarray) -> tuple[float, float]:
     """Objective value and fidelity of one explicit isometry witness."""
     problem = _GadgetProblem(source, kind)
-    iso = np.asarray(isometry, dtype=complex)
-    if iso.shape != (problem.dim_out, source.dim_cq):
-        raise DimensionMismatchError(
-            f"isometry shape {iso.shape} differs from ({problem.dim_out}, {source.dim_cq})")
+    iso = _checked_isometry(problem, isometry)
     value, fid = problem.evaluate(problem.params_of(iso)[None, :])
     return float(value[0]), float(fid[0])
 
@@ -212,31 +308,28 @@ def _estimate(source: ExtendedSource, kind: str, epsilon: float,
 
     starts = [problem.identity_params()]
     for iso in warm_isometries:
-        starts.append(problem.params_of(np.asarray(iso, dtype=complex)))
+        starts.append(problem.params_of(_checked_isometry(problem, iso)))
     rng = seed_rng(opts.seed, "converse", kind)
     for _ in range(opts.restarts):
         starts.append(rng.normal(size=problem.n_params))
 
-    def ascend(theta0: np.ndarray) -> np.ndarray:
-        theta = theta0
-        for stage in range(opts.stages):
-            kappa = KAPPA0 * (10.0 ** stage)
+    # all starts ascend together, one maximize call per penalty stage
+    thetas = np.stack(starts)
+    for stage in range(opts.stages):
+        kappa = KAPPA0 * (10.0 ** stage)
 
-            def objective(batch: np.ndarray) -> np.ndarray:
-                value, fid = problem.evaluate(batch)
-                shortfall = np.clip(floor - fid, 0.0, None)
-                return value - kappa * shortfall ** 2
+        def objective(batch: np.ndarray) -> np.ndarray:
+            value, fid = problem.evaluate(batch)
+            shortfall = np.clip(floor - fid, 0.0, None)
+            return value - kappa * shortfall ** 2
 
-            thetas, _ = maximize(objective, theta[None], max_iters=opts.iters_per_stage,
-                                 init_step=INIT_STEP, chunk=problem.chunk)
-            theta = thetas[0]
-        return theta
-
-    ascended = [ascend(theta) for theta in starts]
+        thetas, _ = maximize(objective, thetas, max_iters=opts.iters_per_stage,
+                             init_step=INIT_STEP, chunk=problem.chunk,
+                             gradient=lambda batch: problem.gradient(batch, floor, kappa))
 
     # candidate pool: raw starts too, since identity and warm isometries are
     # feasible witnesses in their own right
-    batch = np.stack(starts + ascended, axis=0)
+    batch = np.concatenate([np.stack(starts), thetas], axis=0)
     values, fids = problem.evaluate(batch)
     feasible = np.flatnonzero(fids >= floor - FEASIBILITY_SLACK)
     if feasible.size == 0:
@@ -275,6 +368,8 @@ def gadget_grid(source: ExtendedSource, epsilons: Sequence[float], kind: str = "
     """
     opts = opts or ConverseOptions()
     grid = sorted(float(x) for x in epsilons)
+    if not grid:
+        raise ValidationError("the epsilon grid is empty")
     out: list[GadgetEstimate] = []
     prev: GadgetEstimate | None = None
     for eps in grid:

@@ -37,11 +37,18 @@ class NumericalFailureError(QcapError):
     """An iterative numerical routine failed to reach its tolerance."""
 
 
-def _positive_int(value, message: str) -> int:
-    """``value`` as a Python int if it is a positive integer, else ValidationError.
+def _nonnegative_int(value, message: str) -> int:
+    """``value`` as a Python int if it is a non-negative integer, else ValidationError.
 
     Python and numpy integers pass; bool, floats and everything else do not.
     """
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise ValidationError(message)
+    return int(value)
+
+
+def _positive_int(value, message: str) -> int:
+    """``value`` as a Python int if it is a positive integer, else ValidationError."""
+    if _nonnegative_int(value, message) == 0:
         raise ValidationError(message)
     return int(value)

@@ -80,3 +80,20 @@ def phase_fixed_qr(a: np.ndarray) -> np.ndarray:
     mag = np.abs(d)
     phase = np.where(mag > 1e-300, d / np.where(mag > 1e-300, mag, 1.0), 1.0)
     return q * phase[..., None, :]
+
+
+def phase_fixed_qr_adjoint(a: np.ndarray, q: np.ndarray, q_bar: np.ndarray) -> np.ndarray:
+    """Pull a gradient in Q = phase_fixed_qr(a) back to ``a`` (batched, full column rank).
+
+    Gradients of a real function f of a complex matrix Z are read as
+    df = Re Tr[Z_bar^dagger dZ].  With R = Q^dagger a, K = Q^dagger q_bar and
+    N = tril(K - K^dagger, -1) + diag(K - K^dagger) / 2, the gradient in ``a``
+    is [q_bar - Q K + Q N] R^{-dagger} (Walter & Lehmann, arXiv:1001.1654).
+    """
+    q_h = q.conj().swapaxes(-1, -2)
+    k = q_h @ q_bar
+    skew = k - k.conj().swapaxes(-1, -2)
+    n = np.tril(skew, -1) + 0.5 * np.eye(k.shape[-1]) * skew
+    y = q_bar - q @ (k - n)
+    # y R^{-dagger} = (R^{-1} y^dagger)^dagger
+    return np.linalg.solve(q_h @ a, y.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)

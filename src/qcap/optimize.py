@@ -2,12 +2,14 @@
 
 The objective is a callable mapping a parameter batch of shape (B, P) to a
 value batch of shape (B,).  A caller with an exact gradient passes it as a
-callable of the same batch, returning (B, P); otherwise gradients are central
-finite differences, all 2P perturbations of every start evaluated in one
-(chunked) batched call.  Step-size control is a geometric ladder line search
-per start.  All starts ascend together, but no row's path depends on the
-others, and the whole procedure is deterministic for a deterministic
-objective whose rows do not depend on the batch they are evaluated in.
+callable of the same batch, returning (B, P); both the trade-off and the
+converse searches do.  Without one, gradients are central finite
+differences, all 2P perturbations of every start evaluated in one (chunked)
+batched call; they serve as the tests' oracle for the exact gradients.
+Step-size control is a geometric ladder line search per start.  All starts
+ascend together, but no row's path depends on the others, and the whole
+procedure is deterministic for a deterministic objective whose rows do not
+depend on the batch they are evaluated in.
 """
 from __future__ import annotations
 

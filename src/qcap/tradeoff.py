@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import QuantumChannel, channel_power
-from .errors import NumericalFailureError, ValidationError
+from .errors import NumericalFailureError, ValidationError, _nonnegative_int, _positive_int
 from .information import CQEnsemble, _branch_outputs, _output_map, generalized_information
 from .linalg import batched_entropy, entropy_and_gradient
 from . import optimize
@@ -47,6 +47,12 @@ class OptimizerOptions:
     restarts: int = 24
     max_iters: int = 80
     seed: int = 0
+
+    def __post_init__(self):
+        _nonnegative_int(self.restarts,
+                         f"restarts must be a non-negative integer, got {self.restarts!r}")
+        _positive_int(self.max_iters,
+                      f"max_iters must be a positive integer, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
+from qcap import converse, optimize
 from qcap.converse import (ConverseOptions, _GadgetProblem, estimate_W, estimate_Y,
                            evaluate_isometry, extend_source, gadget_grid)
 from qcap.errors import DimensionMismatchError, ValidationError
-from qcap.linalg import batched_entropy, hermitize
+from qcap.linalg import SUPPORT_CUTOFF, batched_entropy, hermitize
 from qcap.sampling import seed_rng
 from qcap.spaces import TensorSpace
 from qcap.states import DensityMatrix, permute_subsystems
@@ -230,3 +231,125 @@ def test_gadget_evaluate_matches_direct_contraction():
             assert fid == pytest.approx(ref_fid, abs=1e-7), (name, kind)
     assert extend_source(classical_bit(1.0)).probs[1] == 0.0
     assert extend_source(mixed_ebit()).dim_rp == 4
+
+
+def bit_times_ebit() -> DensityMatrix:
+    """R holds a copy of the bit and an ebit partner: a rank-deficient target."""
+    m = np.zeros((2, 8, 2, 8), dtype=complex)
+    for c in range(2):
+        v = np.zeros(8, dtype=complex)
+        for i in range(2):
+            v[i * 4 + c * 2 + i] = 1.0 / np.sqrt(2.0)
+        m[c, :, c, :] = 0.5 * np.outer(v, v.conj())
+    return cqr_state((2, 2, 4), m.reshape(16, 16))
+
+
+def penalized(problem: _GadgetProblem, floor: float, kappa: float):
+    def objective(thetas):
+        value, fid = problem.evaluate(thetas)
+        return value - kappa * np.clip(floor - fid, 0.0, None) ** 2
+    return objective
+
+
+def penalized_without_null_space(problem: _GadgetProblem, floor: float, kappa: float):
+    """The penalized objective by direct contraction, with the fidelity summing
+    square roots of the eigenvalues above SUPPORT_CUTOFF only."""
+    src = problem.src
+
+    def objective(thetas):
+        value, _ = reference_evaluate(problem, thetas)
+        iso = problem.isometries(thetas)
+        b = len(iso)
+        c, qd, r, rp = src.dim_c, src.dim_q, src.dim_r, src.dim_rp
+        phi = np.einsum("boxq,xqw->bxow", iso.reshape(b, problem.dim_out, c, qd),
+                        src.branches.reshape(c, qd, r * rp))
+        phi = phi.reshape(b, c, src.dim_cq, problem.dim_e, r, rp)
+        rho_f = np.einsum("x,bxaerw,bxcesw->barcs", src.probs, phi, phi.conj())
+        rho_f = rho_f.reshape(b, src.dim_cq * r, src.dim_cq * r)
+        eigs = np.linalg.eigvalsh(hermitize(problem.target_sqrt @ rho_f @ problem.target_sqrt))
+        roots = np.where(eigs > SUPPORT_CUTOFF, np.sqrt(np.clip(eigs, 0.0, None)), 0.0)
+        fid = np.minimum(roots.sum(axis=1), 1.0)
+        return value - kappa * np.clip(floor - fid, 0.0, None) ** 2
+    return objective
+
+
+def test_converse_gradient_matches_central_differences():
+    # On rank-deficient targets the fidelity takes square roots of rounding-level
+    # eigenvalues (~1e-17), which puts 0.2-2% noise into differences of the
+    # raw fidelity; with the penalty on, those targets are compared against
+    # differences of a fidelity that drops them, as the exact gradient does.
+    full_rank = {"mixed ebit": mixed_ebit(), "two mixed blocks": two_block_mixed()}
+    deficient = {"lopsided bit": classical_bit(0.65), "pure ebit": pure_ebit(),
+                 "bit x ebit": bit_times_ebit(), "zero-weight block": classical_bit(1.0)}
+    for name, state in {**full_rank, **deficient}.items():
+        src = extend_source(state)
+        for kind in ("Y", "W"):
+            problem = _GadgetProblem(src, kind)
+            rng = seed_rng(5, "converse-gradient", name, kind)
+            thetas = rng.normal(size=(3, problem.n_params))
+            for floor, kappa in ((0.0, 10.0), (0.999, 100.0)):
+                if floor > 0 and name in deficient:
+                    objective = penalized_without_null_space(problem, floor, kappa)
+                else:
+                    objective = penalized(problem, floor, kappa)
+                exact = problem.gradient(thetas, floor, kappa)
+                diff = optimize._gradient(objective, thetas, optimize.GRAD_STEP, problem.chunk)
+                err = np.linalg.norm(exact - diff, axis=1)
+                # W on the pure ebit has a zero gradient, so the bound has an absolute part
+                bound = 1e-6 * np.linalg.norm(diff, axis=1) + 1e-9
+                assert np.all(err <= bound), (name, kind, floor, err / bound)
+                if floor > 0:
+                    assert np.linalg.norm(diff, axis=1).min() > 0.1  # the penalty is active
+
+
+def test_estimate_runs_one_maximize_per_stage(monkeypatch):
+    src = extend_source(two_block_mixed())
+    opts = ConverseOptions(restarts=2, iters_per_stage=3, stages=3, seed=0)
+    warm = estimate_W(src, 0.1, opts).witness_isometry
+    calls = []
+    lone = converse.maximize
+
+    def counted(objective, theta0, **kwargs):
+        calls.append((len(theta0), kwargs.get("gradient") is not None))
+        return lone(objective, theta0, **kwargs)
+
+    monkeypatch.setattr(converse, "maximize", counted)
+    estimate_W(src, 0.2, opts, warm_isometries=(warm,))
+    # identity, the warm start and two restarts, all in one call per stage
+    assert calls == [(4, True)] * opts.stages
+
+
+def test_isometry_inputs_are_validated():
+    src = extend_source(pure_ebit())
+    good = estimate_Y(src, 0.1, FAST).witness_isometry
+    with_nan = good.copy()
+    with_nan[0, 0] = np.nan
+    bad = [(np.ones((2, 2)), DimensionMismatchError),
+           (with_nan, ValidationError),
+           (np.ones((8, 2)), ValidationError),
+           (2.0 * good, ValidationError)]
+    for iso, error in bad:
+        with pytest.raises(error):
+            evaluate_isometry(src, "Y", iso)
+        for fn in (estimate_Y, estimate_W):
+            with pytest.raises(error):
+                fn(src, 0.1, FAST, warm_isometries=(iso,))
+    # a witness that is orthonormal within 1e-8 is accepted as it is
+    nearly = good + 1e-11
+    assert evaluate_isometry(src, "Y", nearly)[0] == pytest.approx(
+        evaluate_isometry(src, "Y", good)[0], abs=1e-9)
+
+
+def test_empty_epsilon_grid_is_rejected():
+    src = extend_source(classical_bit())
+    for kind in ("Y", "W"):
+        with pytest.raises(ValidationError):
+            gadget_grid(src, [], kind, FAST)
+
+
+def test_converse_options_are_validated():
+    for kwargs in (dict(restarts=-1), dict(restarts=1.5), dict(stages=0),
+                   dict(iters_per_stage=0), dict(iters_per_stage=-2), dict(stages=True)):
+        with pytest.raises(ValidationError):
+            ConverseOptions(**kwargs)
+    assert ConverseOptions(restarts=0, stages=np.int64(1)).restarts == 0

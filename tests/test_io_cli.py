@@ -355,3 +355,10 @@ def test_cli_verify_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["suite"] == "typicality"
+
+
+def test_cli_verify_converse_rejects_bad_arguments(capsys):
+    assert main(["verify", "converse", "--eps-grid", ""]) == 2
+    assert main(["verify", "converse", "--restarts", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "epsilon grid is empty" in err and "restarts" in err

@@ -54,3 +54,19 @@ def test_lock_step_matches_lone_ascents_with_differences():
                       + [rng.normal(size=problem.n_params) for _ in range(2)])
     assert_rows_match_lone_runs(objective, starts, max_iters=3, init_step=0.2,
                                 chunk=problem.chunk)
+
+
+def test_lock_step_matches_lone_ascents_with_converse_gradient():
+    problem = _GadgetProblem(extend_source(two_block_mixed()), "W")
+    floor, kappa = 0.9, 100.0
+
+    def objective(thetas):
+        value, fid = problem.evaluate(thetas)
+        return value - kappa * np.clip(floor - fid, 0.0, None) ** 2
+
+    rng = np.random.default_rng(2)
+    starts = np.stack([problem.identity_params()]
+                      + [rng.normal(size=problem.n_params) for _ in range(3)])
+    assert_rows_match_lone_runs(objective, starts, max_iters=25, init_step=0.2,
+                                chunk=problem.chunk,
+                                gradient=lambda thetas: problem.gradient(thetas, floor, kappa))

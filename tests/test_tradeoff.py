@@ -251,3 +251,11 @@ def test_dephrasure_two_copies_beat_one():
     res = optimize_scalarized(channel, 2, 1.0, OptimizerOptions(restarts=2, max_iters=40, seed=0))
     info = generalized_information(res.ensemble, channel_power(channel, 2))
     assert info.r_q / 2 >= 0.006
+
+
+def test_optimizer_options_are_validated():
+    for kwargs in (dict(restarts=-3), dict(max_iters=0), dict(restarts=-3, max_iters=0),
+                   dict(max_iters=2.5), dict(restarts=True)):
+        with pytest.raises(ValidationError):
+            OptimizerOptions(**kwargs)
+    assert OptimizerOptions(restarts=0, max_iters=1).restarts == 0
