@@ -19,9 +19,9 @@ the two estimated quantities are
 Maximization runs penalized gradient ascent over the isometry parameters with
 an escalating quadratic penalty on the fidelity shortfall.  The gradient is
 exact: entropy gradients (Daleckii-Krein) and the fidelity gradient are pulled
-back through the Gram products and the phase-fixed QR, so central differences
-serve only as the tests' oracle.  All starts of one penalty stage ascend in
-lock step, one batched gradient and one batched line search per iteration.
+back through the Gram products and the phase-fixed QR.  All starts of one
+penalty stage ascend in lock step, one batched gradient and one batched line
+search per iteration.
 The identity embedding U0 |cq> = |cq>|0>_E is always included as a start; it
 is exactly feasible at every eps, so a feasible witness always exists.
 Estimates are lower bounds on the true constrained maxima.  Grids over eps
@@ -88,16 +88,15 @@ class ExtendedSource:
         return v @ v.conj().T
 
 
-def extend_source(state: DensityMatrix, c_label: str = "C", q_label: str = "Q",
-                  r_label: str = "R") -> ExtendedSource:
+def extend_source(state: DensityMatrix) -> ExtendedSource:
     """Validate block form over the classical label and purify the branches.
 
-    The state must be block diagonal in the ``c_label`` basis within 1e-10.
+    The state must be block diagonal in the C basis within 1e-10.
     Branch purifications share one reference R' sized by the largest branch
     rank.  The product |C||Q| is capped at 4 to keep the isometry search
     tractable.
     """
-    work, probs, branch_mats = block_form(state, (c_label, q_label, r_label))
+    work, probs, branch_mats = block_form(state, ("C", "Q", "R"))
     d_c, d_q, d_r = work.space.dims
     if d_c * d_q > MAX_CQ:
         raise ValidationError(

@@ -105,6 +105,7 @@ class AlgebraBasis:
     commutant: np.ndarray      # (j, s, s) orthonormal basis of the commutant
     support: np.ndarray        # (d, s) isometry into the original space
     support_eigs: np.ndarray   # (s,) eigenvalues of the marginal on its support
+    kernel: np.ndarray         # (d, d - s) isometry onto the marginal's kernel
 
     @property
     def dim(self) -> int:
@@ -184,7 +185,7 @@ def generate_algebra(ops, rho_a) -> AlgebraBasis:
     spanned = _orthonormalize(np.stack(generators + components))
     comm = _commutant(spanned)
     return AlgebraBasis(basis=_commutant(comm), commutant=comm,
-                        support=support, support_eigs=eigs)
+                        support=support, support_eigs=eigs, kernel=v[:, ~keep])
 
 
 def _group_by_gaps(values: np.ndarray, gap: float) -> list[np.ndarray]:
@@ -384,11 +385,7 @@ def ki_decompose(rho: DensityMatrix, system: str | Iterable[str] | None = None,
 
     raw.sort(key=sort_key)
 
-    rows = [item[5].conj().T for item in raw]
-    if dead_dim:
-        w, v = np.linalg.eigh(hermitize(rho_a.matrix))
-        rows.append(v[:, w <= SUPPORT_CUTOFF].conj().T)
-    u_ki = np.vstack(rows)
+    u_ki = np.vstack([item[5].conj().T for item in raw] + [alg.kernel.conj().T])
     if np.max(np.abs(u_ki @ u_ki.conj().T - np.eye(d_a))) > 1e-9:
         raise NumericalFailureError("assembled change of basis is not unitary")
 

@@ -10,7 +10,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _nonnegative_int
 from .linalg import phase_fixed_qr
 from .spaces import TensorSpace
 from .states import DensityMatrix, PureState
@@ -22,8 +22,9 @@ def _path_word(part: object) -> int:
 
 
 def seed_rng(seed: int, *path: object) -> np.random.Generator:
-    """Generator for ``seed`` specialized by a path of component names."""
-    ss = np.random.SeedSequence(entropy=int(seed),
+    """Generator for a non-negative integer ``seed``, specialized by a path of names."""
+    seed = _nonnegative_int(seed, f"seed must be a non-negative integer, got {seed!r}")
+    ss = np.random.SeedSequence(entropy=seed,
                                 spawn_key=tuple(_path_word(p) for p in path))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -31,7 +32,7 @@ def seed_rng(seed: int, *path: object) -> np.random.Generator:
 def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return seed_rng(int(seed))
+    return seed_rng(seed)
 
 
 def _as_space(dims: int | TensorSpace | tuple) -> TensorSpace:

@@ -61,9 +61,6 @@ class DensityMatrix:
         w = np.clip(np.linalg.eigvalsh(hermitize(self.matrix)), 0.0, None)
         return w / w.sum()
 
-    def rank(self) -> int:
-        return int(np.sum(self.eigenvalues() > SUPPORT_CUTOFF))
-
 
 @dataclass(frozen=True, eq=False)
 class PureState:

@@ -116,6 +116,7 @@ class _EnsembleProblem:
         self.n = self.d_a ** 2 + 2
         self.n_params = 2 * self.n * self.d_a * self.d_r
         per_row = self.n * (self.d_b ** 2 + len(power.kraus) ** 2) * 16
+        # rows per objective call; optimize.maximize says where it binds
         self.chunk = max(8, int(6e7 / max(per_row, 1)))
 
     def _matrices(self, thetas: np.ndarray) -> np.ndarray:

@@ -362,9 +362,7 @@ class ProjectedSource:
     branch_masses: tuple[float, ...]
 
 
-def project_and_renormalize(omega: DensityMatrix, m: int, delta: float,
-                            c_label: str = "C", q_label: str = "Q",
-                            r_label: str = "R") -> ProjectedSource:
+def project_and_renormalize(omega: DensityMatrix, m: int, delta: float) -> ProjectedSource:
     """Typical projection of the m-fold power of a block-form source.
 
     The classical register is restricted to the typical strings of the block
@@ -373,7 +371,7 @@ def project_and_renormalize(omega: DensityMatrix, m: int, delta: float,
     string and renormalized.  Classical weights are renormalized by the
     retained classical mass; the overall retained joint mass is reported.
     """
-    work, probs, branches = block_form(omega, (c_label, q_label, r_label))
+    work, probs, branches = block_form(omega, ("C", "Q", "R"))
     d_c, d_q, d_r = work.space.dims
     m = _positive_int(m, f"power must be a positive integer, got {m!r}")
     if m * math.log2(d_c * d_q) > PROJECTOR_LOG2_LIMIT:
@@ -422,7 +420,7 @@ def project_and_renormalize(omega: DensityMatrix, m: int, delta: float,
             idx = idx * d_c + x
         out_view[idx, :, idx, :] += (p_string / classical_mass) * (cut / mass)
 
-    space = TensorSpace.of((c_label, d_c ** m), (q_label, dq_m), (r_label, dr_m))
+    space = TensorSpace.of(("C", d_c ** m), ("Q", dq_m), ("R", dr_m))
     state = DensityMatrix(space, hermitize(out))
     return ProjectedSource(state=state, kept_strings=kept,
                            classical_mass=classical_mass,

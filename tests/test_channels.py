@@ -154,6 +154,15 @@ def test_random_channel_properties():
         assert min(np.linalg.eigvalsh(out.matrix)) >= -1e-11
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_seed_rng_rejects_seeds_that_are_not_non_negative_integers(seed):
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        seed_rng(seed)
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        random_state(2, seed)
+    assert seed_rng(np.int64(2)).random() == seed_rng(2).random()
+
+
 def test_unital_channels_cannot_lower_mixed_entropy():
     # unital qubit channels only increase entropy
     mixed = maximally_mixed(TensorSpace.single("A", 2))

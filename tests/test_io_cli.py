@@ -277,6 +277,19 @@ def test_cli_kid_bad_system_label(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [
+    ["curve", "--channel", "identity(2)", "--points", "2", "--restarts", "0", "--iters", "1"],
+    ["kid", "--system", "A"],
+    ["verify", "converse", "--eps-grid", "0", "--restarts", "0"]], ids=["curve", "kid", "verify"])
+def test_cli_rejects_negative_seed(tmp_path, capsys, command):
+    if command[0] == "kid":
+        command = command + ["--state", write_state(tmp_path / "bell.json", bell_state())]
+    assert main(command + ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a non-negative integer")
+    assert "Traceback" not in err
+
+
 def test_cli_curve_json_and_csv(tmp_path, capsys):
     argv = ["curve", "--channel", "identity(2)", "--points", "5",
             "--restarts", "1", "--iters", "10", "--seed", "0"]

@@ -1,5 +1,6 @@
 """Lock-step multi-start ascent: every row follows its own lone path."""
 import numpy as np
+import pytest
 
 from qcap import optimize
 from qcap.channels import identity_channel
@@ -39,25 +40,10 @@ def test_lock_step_matches_lone_ascents_with_exact_gradient():
     assert_rows_match_lone_runs(objective, starts, **kwargs)
 
 
-def test_lock_step_matches_lone_ascents_with_differences():
-    # 3 x 1024 difference rows overrun the problem's chunk, so the stacked
-    # batch is split where no lone batch is
-    problem = _GadgetProblem(extend_source(two_block_mixed()), "Y")
-    assert 2 * problem.n_params < problem.chunk < 6 * problem.n_params
-
-    def objective(thetas):
-        value, fid = problem.evaluate(thetas)
-        return value - 100.0 * np.clip(0.9 - fid, 0.0, None) ** 2
-
-    rng = np.random.default_rng(1)
-    starts = np.stack([problem.identity_params()]
-                      + [rng.normal(size=problem.n_params) for _ in range(2)])
-    assert_rows_match_lone_runs(objective, starts, max_iters=3, init_step=0.2,
-                                chunk=problem.chunk)
-
-
-def test_lock_step_matches_lone_ascents_with_converse_gradient():
-    problem = _GadgetProblem(extend_source(two_block_mixed()), "W")
+@pytest.mark.parametrize("kind, chunk", [("W", None), ("Y", 7)], ids=["W", "Y"])
+def test_lock_step_matches_lone_ascents_with_converse_gradient(kind, chunk):
+    # with a chunk of 7 the stacked 24-row line search is split where no lone one is
+    problem = _GadgetProblem(extend_source(two_block_mixed()), kind)
     floor, kappa = 0.9, 100.0
 
     def objective(thetas):
@@ -68,5 +54,5 @@ def test_lock_step_matches_lone_ascents_with_converse_gradient():
     starts = np.stack([problem.identity_params()]
                       + [rng.normal(size=problem.n_params) for _ in range(3)])
     assert_rows_match_lone_runs(objective, starts, max_iters=25, init_step=0.2,
-                                chunk=problem.chunk,
+                                chunk=chunk or problem.chunk,
                                 gradient=lambda thetas: problem.gradient(thetas, floor, kappa))

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from qcap import optimize
 from qcap.channels import (QuantumChannel, channel_from_name, channel_power,
                            dephasing_channel, identity_channel)
 from qcap.errors import NumericalFailureError, ValidationError
@@ -14,6 +13,8 @@ from qcap.spaces import TensorSpace
 from qcap.tradeoff import (CurvePoint, OptimizerOptions, _EnsembleProblem, compute_curve,
                            default_t_grid, evaluate_point, optimize_scalarized,
                            validate_envelope)
+
+from gradient_oracle import central_differences
 
 SMALL = OptimizerOptions(restarts=3, max_iters=40, seed=0)
 
@@ -219,8 +220,8 @@ def test_exact_gradient_matches_central_differences(level):
         thetas = np.stack([problem.random_start(rng) for _ in range(2)])
         canonical = np.stack(problem.canonical_starts(rng))
         # the objective is linear in t, so two difference gradients serve every t
-        r_q, r_c = (optimize._gradient(lambda th, k=k: problem.rates(th)[k], thetas[:1],
-                                       optimize.GRAD_STEP, problem.chunk)[0] for k in (0, 1))
+        r_q, r_c = (central_differences(lambda th, k=k: problem.rates(th)[k], thetas[:1],
+                                        problem.chunk)[0] for k in (0, 1))
         for t in (0.0, 0.3, 0.5, 1.0):
             exact = problem.gradient(thetas, t)
             oracle = t * r_q + (1.0 - t) * r_c
