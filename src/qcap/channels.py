@@ -49,6 +49,7 @@ class QuantumChannel:
 
 
 def identity_channel(dim: int) -> QuantumChannel:
+    dim = _positive_int(dim, f"identity dimension must be a positive integer, got {dim!r}")
     return QuantumChannel(dim, dim, (np.eye(dim, dtype=np.complex128),))
 
 

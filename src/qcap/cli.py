@@ -18,7 +18,7 @@ from . import io as qio
 from .capacity import generalized_capacity
 from .channels import apply_channel
 from .converse import ConverseOptions, extend_source, gadget_grid
-from .errors import NumericalFailureError, ValidationError
+from .errors import NumericalFailureError, ValidationError, _positive_int
 from .information import (CQEnsemble, coherent_information, data_processing_gap,
                           generalized_information, holevo_information)
 from .ki import ki_decompose
@@ -134,6 +134,7 @@ def _check(name: str, worst: float, tol: float, detail: str = "") -> dict:
 
 
 def _verify_core(seed: int, instances: int) -> list[dict]:
+    instances = _positive_int(instances, f"instance count must be positive, got {instances!r}")
     checks = []
 
     worst = 0.0

@@ -8,10 +8,14 @@ against p(y|x) N(x) with the same slack.  The typical set of p is the
 conditional typical set of the one-row p(y|x) = p(y) along a constant base
 sequence, so one enumerator lists both.
 
-Counts and masses are computed exactly by enumerating admissible count
-vectors and summing multinomial weights, so they stay cheap even at block
-lengths where listing sequences is impossible.  Projector construction and
-sequence enumeration carry explicit resource guardrails.
+Counts and masses come from one generating function: for a row p with count
+windows [lo_y, hi_y], both are n! times the z^n coefficient of
+prod_y sum_{c=lo_y..hi_y} p_y^c z^c / c!  (the count with every p_y = 1).
+Each p_y is read as an exact binary fraction, so the sum is carried out in
+integers: counts are exact and masses are the exact value rounded once.
+This stays cheap at block lengths where listing sequences is impossible.
+Projector construction and sequence enumeration carry explicit resource
+guardrails.
 
 The dimension bound  count <= 2^(n [H(p) + c delta])  holds exactly for
 full-support p with the constant c = sum_x |log2 p(x)|; the conditional
@@ -53,7 +57,7 @@ class TypicalSpec:
             raise ValidationError("probability vector must be 1-dimensional and non-empty")
         p = _validate_conditional(p[None])[0]
         n = _positive_int(n, f"block length must be a positive integer, got {n!r}")
-        if not delta > 0:
+        if not 0 < delta < math.inf:
             raise ValidationError(f"slack must be positive, got {delta!r}")
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "n", n)
@@ -80,54 +84,9 @@ def is_typical(sequence: Sequence[int], spec: TypicalSpec) -> bool:
     return is_conditionally_typical(sequence, [0] * spec.n, spec.probs[None], spec.delta)
 
 
-def _count_vectors(lo: np.ndarray, hi: np.ndarray, total: int) -> Iterator[tuple[int, ...]]:
-    """All integer vectors with lo <= v <= hi and sum(v) == total."""
-    k = lo.size
-    suffix_lo = np.concatenate([np.cumsum(lo[::-1])[::-1], [0]])
-    suffix_hi = np.concatenate([np.cumsum(hi[::-1])[::-1], [0]])
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i == k:
-            if remaining == 0:
-                yield prefix
-            return
-        low = max(lo[i], remaining - suffix_hi[i + 1])
-        high = min(hi[i], remaining - suffix_lo[i + 1])
-        for v in range(int(low), int(high) + 1):
-            yield from rec(i + 1, remaining - v, prefix + (v,))
-
-    yield from rec(0, total, ())
-
-
-def _multinomial(n: int, counts: Sequence[int]) -> int:
-    out = 1
-    rest = n
-    for c in counts:
-        out *= math.comb(rest, c)
-        rest -= c
-    return out
-
-
 def typical_count(spec: TypicalSpec) -> int:
     """Exact number of typical sequences."""
     return conditional_typical_count(spec.probs[None], [0] * spec.n, spec.delta)
-
-
-def _mass_of_counts(probs: np.ndarray, n: int, vectors) -> float:
-    use_logs = n > 60
-    total = 0.0
-    logs = np.where(probs > 0, np.log(np.where(probs > 0, probs, 1.0)), 0.0)
-    for v in vectors:
-        arr = np.asarray(v)
-        if np.any((probs == 0) & (arr > 0)):
-            continue
-        if use_logs:
-            log_term = math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in v)
-            log_term += float(np.dot(arr, logs))
-            total += math.exp(log_term)
-        else:
-            total += _multinomial(n, v) * float(np.prod(np.where(arr > 0, probs ** arr, 1.0)))
-    return min(total, 1.0)
 
 
 def typical_mass(spec: TypicalSpec) -> float:
@@ -168,13 +127,15 @@ def _validate_conditional(cond) -> np.ndarray:
 
 
 def _base_sequence(xn: Sequence[int], delta: float, kx: int) -> np.ndarray:
-    """The base sequence as a non-empty 1-d array over range(kx); delta must be positive."""
-    xs = np.asarray(xn, dtype=int)
+    """The base sequence as a non-empty 1-d integer array over range(kx); 0 < delta < inf."""
+    xs = np.asarray(xn)
     if xs.ndim != 1 or xs.size == 0:
         raise ValidationError("base sequence must be 1-dimensional and non-empty")
+    if not np.issubdtype(xs.dtype, np.integer):
+        raise ValidationError(f"base sequence symbols must be integers, got {xs.dtype}")
     if xs.min() < 0 or xs.max() >= kx:
         raise ValidationError("base sequence contains symbols outside the alphabet")
-    if not delta > 0:
+    if not 0 < delta < math.inf:
         raise ValidationError(f"slack must be positive, got {delta!r}")
     return xs
 
@@ -184,9 +145,11 @@ def is_conditionally_typical(yn: Sequence[int], xn: Sequence[int], cond,
     """Joint-count test |N(x,y) - p(y|x) N(x)| <= n delta for all pairs."""
     m = _validate_conditional(cond)
     xs = _base_sequence(xn, delta, m.shape[0])
-    ys = np.asarray(yn, dtype=int)
+    ys = np.asarray(yn)
     if ys.shape != xs.shape:
         raise ValidationError("sequences must be 1-dimensional with equal length")
+    if not np.issubdtype(ys.dtype, np.integer):
+        raise ValidationError(f"sequence symbols must be integers, got {ys.dtype}")
     kx, ky = m.shape
     if ys.min() < 0 or ys.max() >= ky:
         raise ValidationError("sequence contains symbols outside the alphabet")
@@ -210,24 +173,58 @@ def _per_symbol_windows(cond: np.ndarray, xn: np.ndarray,
     return out
 
 
+def _window_sum(probs: np.ndarray, n: int, lo: np.ndarray,
+                hi: np.ndarray) -> tuple[int, int]:
+    """n! [z^n] prod_y sum_{c=lo_y..hi_y} p_y^c z^c / c!  as an exact fraction (num, den).
+
+    With p_y = a_y / b_y exactly, factor y times b_y^hi_y hi_y! / (a_y z)^lo_y
+    has the integer coefficients a_y^j b_y^(hi_y-lo_y-j) hi_y! / (lo_y+j)!.
+    """
+    lo, hi = lo.tolist(), hi.tolist()
+    k = n - sum(lo)
+    if k < 0 or any(low > high for low, high in zip(lo, hi)):
+        return 0, 1
+    num, den = math.factorial(n), 1
+    factors = []
+    for p, low, high in zip(probs.tolist(), lo, hi):
+        a, b = p.as_integer_ratio()
+        num *= a ** low
+        den *= b ** high * math.factorial(high)
+        factor = np.empty(high - low + 1, dtype=object)
+        term = 1
+        for c in range(high, low - 1, -1):
+            factor[c - low] = term * a ** (c - low) * b ** (high - c)
+            term *= c
+        factors.append(factor)
+    poly = np.ones(1, dtype=object)
+    for factor in factors[:-1]:
+        poly = np.convolve(poly, factor)[:k + 1]
+    # of the last product only the z^k coefficient is needed
+    j = np.arange(max(0, k - poly.size + 1), min(k, factors[-1].size - 1) + 1)
+    return num * int(np.sum(poly[k - j] * factors[-1][j])), den
+
+
 def conditional_typical_count(cond, xn: Sequence[int], delta: float) -> int:
     """Exact size of the conditional typical set for a fixed base sequence."""
     m = _validate_conditional(cond)
     xs = _base_sequence(xn, delta, m.shape[0])
     total = 1
     for _, n_x, lo, hi in _per_symbol_windows(m, xs, float(delta)):
-        total *= sum(_multinomial(n_x, v) for v in _count_vectors(lo, hi, n_x))
+        num, den = _window_sum(np.ones(lo.size), n_x, lo, hi)
+        total *= num // den
     return total
 
 
 def conditional_typical_mass(cond, xn: Sequence[int], delta: float) -> float:
-    """Exact conditional probability of the conditional typical set."""
+    """Exact conditional probability of the conditional typical set, rounded once."""
     m = _validate_conditional(cond)
     xs = _base_sequence(xn, delta, m.shape[0])
-    total = 1.0
+    num, den = 1, 1
     for x, n_x, lo, hi in _per_symbol_windows(m, xs, float(delta)):
-        total *= _mass_of_counts(m[x], n_x, _count_vectors(lo, hi, n_x))
-    return total
+        a, b = _window_sum(m[x], n_x, lo, hi)
+        num, den = num * a, den * b
+    # a clipped row may sum to 1 + 1e-12, so the exact mass can pass 1
+    return min(num / den, 1.0)
 
 
 def conditional_dimension_constant(cond) -> float:
@@ -247,7 +244,7 @@ def conditional_dimension_bound(probs, cond, n: int, delta: float) -> float:
         raise ValidationError("marginal and conditional alphabet sizes differ")
     message = f"need n >= 1 and positive slack, got n={n!r}, delta={delta!r}"
     n = _positive_int(n, message)
-    if not delta > 0:
+    if not 0 < delta < math.inf:
         raise ValidationError(message)
     s_cond = float(np.sum([p[x] * entropy_from_probs(m[x]) for x in range(p.size)]))
     return n * (s_cond + conditional_dimension_constant(m) * float(delta))
@@ -266,32 +263,31 @@ def _enumerate(cond: np.ndarray, xs: np.ndarray, delta: float) -> Iterator[tuple
     if n > ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"enumeration limited to n <= {ENUMERATION_LIMIT}, got {n}")
-    windows = {x: (lo, hi) for x, _, lo, hi in _per_symbol_windows(cond, xs, delta)}
-    ky = cond.shape[1]
+    kx, ky = cond.shape
+    # one joint-count table and the positions left per symbol, undone on the way back
+    joint, left, windows = [[0] * ky for _ in range(kx)], [0] * kx, {}
+    for x, n_x, lo, hi in _per_symbol_windows(cond, xs, delta):
+        windows[x], left[x] = (lo.tolist(), hi.tolist()), n_x
+    symbols = xs.tolist()
 
-    def rec(pos: int, counts: dict, prefix: tuple[int, ...]):
+    def rec(pos: int, prefix: tuple[int, ...]):
         if pos == n:
             yield prefix
             return
-        x = int(xs[pos])
+        x = symbols[pos]
         lo, hi = windows[x]
-        left = counts[x]["left"] - 1
+        row = joint[x]
+        left[x] -= 1
         for y in range(ky):
-            c = counts[x]["joint"][y] + 1
-            if c > hi[y]:
+            if row[y] >= hi[y]:
                 continue
-            joint = counts[x]["joint"].copy()
-            joint[y] = c
-            deficit = int(np.sum(np.clip(lo - joint, 0, None)))
-            if deficit > left:
-                continue
-            new_counts = dict(counts)
-            new_counts[x] = {"joint": joint, "left": left}
-            yield from rec(pos + 1, new_counts, prefix + (y,))
+            row[y] += 1
+            if sum(max(low - c, 0) for low, c in zip(lo, row)) <= left[x]:
+                yield from rec(pos + 1, prefix + (y,))
+            row[y] -= 1
+        left[x] += 1
 
-    init = {x: {"joint": np.zeros(ky, dtype=int), "left": int(np.sum(xs == x))}
-            for x in windows}
-    yield from rec(0, init, ())
+    yield from rec(0, ())
 
 
 def _descending_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,15 @@ def test_channel_validation():
         QuantumChannel(2, 2, ())
 
 
+def test_identity_dimension_must_be_a_positive_integer():
+    for dim in (0, -1, 2.5, True):
+        with pytest.raises(ValidationError, match="identity dimension"):
+            identity_channel(dim)
+    with pytest.raises(ValidationError, match="identity dimension"):
+        channel_from_name("identity(-1)")
+    assert identity_channel(np.int64(2)).dim_in == 2
+
+
 def test_named_channels_are_trace_preserving():
     for chan in (identity_channel(3), dephasing_channel(0.1),
                  depolarizing_channel(0.3), erasure_channel(0.25),

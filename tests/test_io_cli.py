@@ -290,6 +290,20 @@ def test_cli_rejects_negative_seed(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, message", [
+    (["curve", "--channel", "identity(-1)"], "identity dimension must be a positive integer"),
+    (["verify", "core", "--instances", "0"], "instance count must be positive"),
+    (["verify", "core", "--instances", "-1"], "instance count must be positive"),
+    (["verify", "typicality", "--delta", "inf"], "slack must be positive")],
+    ids=["identity_dim", "instances_0", "instances_negative", "delta_inf"])
+def test_cli_rejects_sizes_out_of_range(capsys, command, message):
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_curve_json_and_csv(tmp_path, capsys):
     argv = ["curve", "--channel", "identity(2)", "--points", "5",
             "--restarts", "1", "--iters", "10", "--seed", "0"]

@@ -1,10 +1,13 @@
 """Strong-typicality sets, projectors, and block-source projection."""
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from count_oracle import typical_count_by_vectors
 from qcap.errors import ResourceLimitError, ValidationError
 from qcap.spaces import TensorSpace
 from qcap.states import DensityMatrix, permute_subsystems
@@ -393,3 +396,104 @@ def test_spec_with_roundoff_negatives():
     # clipping the negatives would push the sum past 1 + 1e-12
     with pytest.raises(ValidationError):
         TypicalSpec([0.5 + 1.5e-12, 0.5, -0.9e-12, -0.9e-12], 4, 0.3)
+
+
+def _random_spec(rng, max_k: int, max_n: int, zero_share: float) -> TypicalSpec:
+    """A spec over 2..max_k symbols; with probability zero_share one symbol gets p = 0."""
+    k = int(rng.integers(2, max_k + 1))
+    p = rng.dirichlet(np.ones(k))
+    if rng.random() < zero_share:
+        p[int(rng.integers(k))] = 0.0
+        p = p / p.sum()
+    return TypicalSpec(p, int(rng.integers(1, max_n + 1)), float(rng.uniform(0.02, 0.5)))
+
+
+def test_typical_mass_is_correctly_rounded():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        spec = _random_spec(rng, 3, 8, 0.25)
+        probs = [Fraction(float(q)) for q in spec.probs]
+        # membership depends on the symbol counts alone, so ask once per count vector
+        accepted = {}
+        exact = Fraction(0)
+        for seq in itertools.product(range(spec.alphabet_size), repeat=spec.n):
+            counts = tuple(sorted(Counter(seq).items()))
+            if counts not in accepted:
+                accepted[counts] = is_typical(seq, spec)
+            if accepted[counts]:
+                exact += math.prod(probs[y] ** c for y, c in counts)
+        assert typical_mass(spec) == min(float(exact), 1.0)
+
+
+def test_conditional_mass_is_the_exact_product_rounded_once():
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        ky = int(rng.integers(2, 4))
+        cond = rng.dirichlet(np.ones(ky), size=2)
+        n = int(rng.integers(2, 7))
+        xn = rng.integers(0, 2, size=n)
+        delta = float(rng.uniform(0.05, 0.5))
+        rows = [[Fraction(float(q)) for q in row] for row in cond]
+        exact = Fraction(0)
+        for yn in itertools.product(range(ky), repeat=n):
+            if is_conditionally_typical(yn, xn, cond, delta):
+                exact += math.prod(rows[x][y] for x, y in zip(xn.tolist(), yn))
+        assert conditional_typical_mass(cond, xn, delta) == min(float(exact), 1.0)
+
+
+def test_typical_count_matches_count_vector_oracle():
+    rng = np.random.default_rng(8)
+    for _ in range(150):
+        spec = _random_spec(rng, 4, 40, 0.3)
+        assert typical_count(spec) == typical_count_by_vectors(spec)
+    for p, n in (([0.2, 0.3, 0.5], 300), ([0.3, 0.7], 2000), ([1.0, 0.0], 2000)):
+        spec = TypicalSpec(p, n, 0.02)
+        assert typical_count(spec) == typical_count_by_vectors(spec)
+
+
+def test_empty_windows_give_zero_count_and_mass():
+    # centers 1.5 with slack 0.3: no integer count lies within [1.2, 1.8]
+    spec = TypicalSpec([0.5, 0.5], 3, 0.1)
+    assert spec.count_windows()[0].tolist() == [2, 2]
+    assert typical_count(spec) == 0
+    assert typical_mass(spec) == 0.0
+    cond = np.array([[0.5, 0.5], [0.2, 0.8]])
+    assert conditional_typical_count(cond, [0, 0, 0, 1], 0.05) == 0
+    assert conditional_typical_mass(cond, [0, 0, 0, 1], 0.05) == 0.0
+
+
+_COND = np.array([[0.8, 0.2], [0.3, 0.7]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: TypicalSpec([0.5, 0.5], 4, d), "slack must be positive"),
+    (lambda d: conditional_typical_count(_COND, [0, 1], d), "slack must be positive"),
+    (lambda d: conditional_typical_mass(_COND, [0, 1], d), "slack must be positive"),
+    (lambda d: list(enumerate_conditionally_typical(_COND, [0, 1], d)),
+     "slack must be positive"),
+    (lambda d: conditional_dimension_bound([0.5, 0.5], _COND, 4, d),
+     "need n >= 1 and positive slack")],
+    ids=["spec", "count", "mass", "enumerate", "dimension_bound"])
+def test_slack_must_be_finite(call, message):
+    assert call(0.1) is not None
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match=message):
+            call(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda seq: is_typical(seq, TypicalSpec([0.5, 0.5], 2, 0.5)),
+    lambda seq: is_conditionally_typical(seq, [0, 1], _COND, 0.3),
+    lambda seq: is_conditionally_typical([0, 1], seq, _COND, 0.3),
+    lambda seq: conditional_typical_count(_COND, seq, 0.3),
+    lambda seq: conditional_typical_mass(_COND, seq, 0.3),
+    lambda seq: list(enumerate_conditionally_typical(_COND, seq, 0.3)),
+    lambda seq: conditional_typical_projector([np.diag([0.8, 0.2])] * 2, seq, 0.3)],
+    ids=["is_typical", "is_cond_typical_y", "is_cond_typical_x", "count", "mass",
+         "enumerate", "projector"])
+def test_symbols_must_be_integers(call):
+    assert call([0, 1]) is not None
+    assert call(np.array([0, 1], dtype=np.uint8)) is not None
+    for bad in ([0.7, 1.2], [0.0, 1.0], ["0", "1"], [False, True]):
+        with pytest.raises(ValidationError, match="sequence symbols must be integers"):
+            call(bad)
