@@ -143,7 +143,7 @@ def plan_block(report: CapacityReport, kid: KIDecomposition, n: int,
     applies.  A degenerate source has no defined plan.
     """
     n = _positive_int(n, f"block length must be a positive integer, got {n!r}")
-    if delta <= 0:
+    if not delta > 0:
         raise ValidationError(f"margin delta must be positive, got {delta}")
     if kid.s_cq <= _ENTROPY_ZERO or report.slope.degenerate:
         return BlockPlan(m=0, rate_check=0.0, undefined=True)

@@ -30,8 +30,9 @@ class QuantumChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if self.dim_in < 1 or self.dim_out < 1:
-            raise ValidationError("channel dimensions must be positive")
+        message = f"channel dimensions {self.dim_in!r}, {self.dim_out!r} must be positive integers"
+        object.__setattr__(self, "dim_in", _positive_int(self.dim_in, message))
+        object.__setattr__(self, "dim_out", _positive_int(self.dim_out, message))
         if not self.kraus:
             raise ValidationError("a channel needs at least one Kraus operator")
         ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.kraus)

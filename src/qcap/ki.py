@@ -19,10 +19,12 @@ the algebra they generate is closed under adjoints all the same.  The
 smallest *-algebra containing the normalized operators is not always the
 right object: the decomposition must be invariant under conjugation by
 rho_A's modular flow, so the generators are first split into their spectral
-components along classes of equal eigenvalue ratios of rho_A.  Each
-component is a sum of corner maps  a -> P_i a P_j  over pairs with a fixed
-ratio lambda_i/lambda_j, which keeps it inside every admissible algebra while
-making the span flow invariant.  Without this step, states whose steering
+components along classes of equal eigenvalue ratios of rho_A.  A component
+keeps the entries (i, j) whose ratio lambda_i/lambda_j lies in its class, a
+sum of corner maps  a -> P_i a P_j  that stays inside every admissible
+algebra.  The classes partition the index pairs, so the components span one
+subspace per class, each orthonormalized on its own; their sum contains the
+generators and is flow invariant.  Without this step, states whose steering
 span is skew to the modular flow decompose into spurious blocks and fail
 reconstruction.
 
@@ -104,21 +106,11 @@ class AlgebraBasis:
     basis: np.ndarray          # (k, s, s), support eigencoordinates
     commutant: np.ndarray      # (j, s, s) orthonormal basis of the commutant
     support: np.ndarray        # (d, s) isometry into the original space
-    support_eigs: np.ndarray   # (s,) eigenvalues of the marginal on its support
     kernel: np.ndarray         # (d, d - s) isometry onto the marginal's kernel
 
     @property
     def dim(self) -> int:
         return int(len(self.basis))
-
-
-def _orthonormalize(ops: np.ndarray) -> np.ndarray:
-    flat = ops.reshape(len(ops), -1)
-    _, s, vh = np.linalg.svd(flat, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
-        return ops[:0]
-    keep = s > ALGEBRA_TOL * s[0]
-    return vh[keep].reshape(-1, *ops.shape[1:])
 
 
 def _commutant(ops: np.ndarray) -> np.ndarray:
@@ -170,22 +162,21 @@ def generate_algebra(ops, rho_a) -> AlgebraBasis:
     scale = 1.0 / np.sqrt(eigs)
     normalized = compressed * scale[None, :, None] * scale[None, None, :]
 
-    generators = [np.eye(s, dtype=complex)]
-    generators.extend(normalized)
+    flat = np.concatenate([np.eye(s, dtype=complex)[None], normalized]).reshape(-1, s * s)
     logs = np.log(eigs)
     classes = _group_by_gaps((logs[:, None] - logs[None, :]).reshape(-1), ALGEBRA_TOL)
-    components = []
-    for g in generators:
-        flat = g.reshape(-1)
-        for idx in classes:
-            if np.max(np.abs(flat[idx])) > ALGEBRA_TOL:
-                part = np.zeros(s * s, dtype=complex)
-                part[idx] = flat[idx]
-                components.append(part.reshape(s, s))
-    spanned = _orthonormalize(np.stack(generators + components))
+    svds = [np.linalg.svd(flat[:, idx], full_matrices=False)[1:] for idx in classes]
+    top = max(sv[0] for sv, _ in svds)
+    parts = []
+    for idx, (sv, vh) in zip(classes, svds):
+        kept = vh[sv > ALGEBRA_TOL * top]
+        part = np.zeros((len(kept), s * s), dtype=complex)
+        part[:, idx] = kept
+        parts.append(part)
+    spanned = np.concatenate(parts).reshape(-1, s, s)
     comm = _commutant(spanned)
     return AlgebraBasis(basis=_commutant(comm), commutant=comm,
-                        support=support, support_eigs=eigs, kernel=v[:, ~keep])
+                        support=support, kernel=v[:, ~keep])
 
 
 def _group_by_gaps(values: np.ndarray, gap: float) -> list[np.ndarray]:

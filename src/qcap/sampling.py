@@ -10,7 +10,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ValidationError, _nonnegative_int
+from .errors import ValidationError, _nonnegative_int, _positive_int
 from .linalg import phase_fixed_qr
 from .spaces import TensorSpace
 from .states import DensityMatrix, PureState
@@ -53,8 +53,8 @@ def random_state(dims: int | TensorSpace | tuple, seed: int | np.random.Generato
     space = _as_space(dims)
     rng = _as_generator(seed)
     d = space.dim
-    r = d if rank is None else int(rank)
-    if not 1 <= r <= d:
+    r = d if rank is None else _positive_int(rank, f"rank {rank!r} is not a positive integer")
+    if r > d:
         raise ValidationError(f"rank {r} outside [1, {d}]")
     g = _ginibre(rng, d, r)
     m = g @ g.conj().T
@@ -76,8 +76,9 @@ def random_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
 
 def random_isometry(dim_out: int, dim_in: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-distributed isometry with ``dim_out >= dim_in``."""
-    if dim_out < dim_in:
-        raise ValidationError(f"isometry needs dim_out >= dim_in, got {dim_out} < {dim_in}")
+    message = f"isometry needs integers dim_out >= dim_in >= 1, got {dim_out!r}, {dim_in!r}"
+    if _positive_int(dim_out, message) < _positive_int(dim_in, message):
+        raise ValidationError(message)
     rng = _as_generator(seed)
     return phase_fixed_qr(_ginibre(rng, dim_out, dim_in))
 
@@ -87,8 +88,8 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int,
     """Random channel from a Haar isometry into output x environment."""
     from .channels import QuantumChannel
 
-    if kraus_count < 1:
-        raise ValidationError("kraus_count must be at least 1")
+    kraus_count = _positive_int(kraus_count,
+                                f"kraus_count must be a positive integer, got {kraus_count!r}")
     if dim_out * kraus_count < dim_in:
         raise ValidationError(
             f"dim_out * kraus_count = {dim_out * kraus_count} must be >= dim_in = {dim_in}")

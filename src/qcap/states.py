@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError, _nonnegative_int
 from .linalg import (
     SUPPORT_CUTOFF,
     entropy_from_probs,
@@ -88,8 +88,9 @@ class PureState:
 
 def basis_state(space: TensorSpace, index: int) -> PureState:
     """Computational basis vector ``index`` of the full space."""
-    if not 0 <= index < space.dim:
-        raise ValidationError(f"basis index {index} out of range for dimension {space.dim}")
+    message = f"basis index {index!r} out of range for dimension {space.dim}"
+    if _nonnegative_int(index, message) >= space.dim:
+        raise ValidationError(message)
     v = np.zeros(space.dim, dtype=np.complex128)
     v[index] = 1.0
     return PureState(space, v)

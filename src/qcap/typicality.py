@@ -34,7 +34,7 @@ from .errors import ResourceLimitError, ValidationError, _positive_int
 from .linalg import entropy_from_probs, hermitize
 from .sampling import seed_rng
 from .spaces import TensorSpace
-from .states import DensityMatrix, block_form
+from .states import HERMITICITY_TOL, DensityMatrix, block_form
 
 PROB_TOL = 1e-12
 ENUMERATION_LIMIT = 20
@@ -330,6 +330,10 @@ def conditional_typical_projector(branch_states: Sequence, xn: Sequence[int],
     """Projector from conditionally typical eigenbasis sequences along xn."""
     mats = [s.matrix if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex)
             for s in branch_states]
+    for m in mats:
+        if (m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0
+                or np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL):
+            raise ValidationError("branch states must be square and Hermitian within 1e-10")
     dims = {m.shape[0] for m in mats}
     if len(dims) != 1:
         raise ValidationError("branch states must share one dimension")
@@ -379,10 +383,11 @@ def project_and_renormalize(omega: DensityMatrix, m: int, delta: float) -> Proje
     q_marginals = [b.reshape(d_q, d_r, d_q, d_r).trace(axis1=1, axis2=3)
                    for b in branches]
 
-    kept = tuple(enumerate_typical(TypicalSpec(probs, m, delta)))
+    spec = TypicalSpec(probs, m, delta)
+    kept = tuple(enumerate_typical(spec))
     if not kept:
         raise ValidationError("typical set of the classical register is empty")
-    classical_mass = float(sum(np.prod(probs[list(s)]) for s in kept))
+    classical_mass = typical_mass(spec)
     if classical_mass <= 0.0:
         raise ValidationError("retained classical mass is zero")
 

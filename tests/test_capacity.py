@@ -158,8 +158,9 @@ def test_plan_block_validation():
     report = capacity_from_curve(line_curve(), kid)
     with pytest.raises(ValidationError):
         plan_block(report, kid, n=0, delta=0.1)
-    with pytest.raises(ValidationError):
-        plan_block(report, kid, n=10, delta=0.0)
+    for delta in (0.0, float("nan")):
+        with pytest.raises(ValidationError, match="margin delta must be positive"):
+            plan_block(report, kid, n=10, delta=delta)
 
 
 def test_plan_block_integer_types():

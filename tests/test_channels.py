@@ -8,9 +8,10 @@ from qcap.channels import (QuantumChannel, amplitude_damping_channel,
                            erasure_channel, identity_channel, stinespring,
                            tensor_channels)
 from qcap.errors import DimensionMismatchError, ValidationError
-from qcap.sampling import random_channel, random_state, seed_rng
+from qcap.sampling import random_channel, random_isometry, random_state, seed_rng
 from qcap.spaces import TensorSpace
-from qcap.states import DensityMatrix, entropy, maximally_mixed, partial_trace
+from qcap.states import (DensityMatrix, basis_state, entropy, maximally_mixed,
+                         partial_trace)
 
 
 def kraus_closure(channel: QuantumChannel) -> np.ndarray:
@@ -170,6 +171,22 @@ def test_seed_rng_rejects_seeds_that_are_not_non_negative_integers(seed):
     with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
         random_state(2, seed)
     assert seed_rng(np.int64(2)).random() == seed_rng(2).random()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: QuantumChannel(2.0, 2, (np.eye(2),)),
+    lambda: QuantumChannel(True, True, (np.eye(1),)),
+    lambda: random_channel(2, 2, 1.5, 0),
+    lambda: random_isometry(3.5, 2, 0),
+    lambda: random_state(4, 0, rank=2.5),
+    lambda: random_state(4, 0, rank=True),
+    lambda: basis_state(TensorSpace.single("A", 2), 1.5),
+    lambda: basis_state(TensorSpace.single("A", 2), True)],
+    ids=["channel-float", "channel-bool", "kraus-count", "isometry", "rank-float",
+         "rank-bool", "basis-float", "basis-bool"])
+def test_integer_arguments_must_be_integers(call):
+    with pytest.raises(ValidationError, match="integer|out of range"):
+        call()
 
 
 def test_unital_channels_cannot_lower_mixed_entropy():

@@ -1,7 +1,9 @@
 """Koashi-Imoto block decomposition and the reverse channel."""
 import numpy as np
 import pytest
+from algebra_oracle import component_span
 
+from qcap import ki
 from qcap.channels import apply_channel
 from qcap.errors import ValidationError
 from qcap.ki import (AlgebraBasis, decompose_algebra, generate_algebra,
@@ -277,3 +279,53 @@ def test_projected_two_copy_source():
             assert kid.s_c == pytest.approx(entropy_from_probs(weights / weights.sum()),
                                             abs=1e-12)
             assert kid.reconstruction_error <= 1e-8
+
+
+def schmidt_state(spectrum, rng) -> DensityMatrix:
+    """A pure state on A tensor R with the given Schmidt spectrum, rotated on A."""
+    d = len(spectrum)
+    psi = random_unitary(d, rng) @ np.diag(np.sqrt(spectrum))
+    space = TensorSpace.of(("A", d), ("R", d))
+    return DensityMatrix(space, np.outer(psi.reshape(-1), psi.reshape(-1).conj()))
+
+
+def uniform_cq_state(k: int, d_r: int, rng) -> DensityMatrix:
+    """(1/k) sum_x |x><x| tensor sigma_x on A tensor R, rotated on A: rho_A = 1/k."""
+    m = sum(np.kron(np.diag(np.eye(k)[x]), random_state([("R", d_r)], rng).matrix)
+            for x in range(k)) / k
+    u = np.kron(random_unitary(k, rng), np.eye(d_r))
+    return DensityMatrix(TensorSpace.of(("A", k), ("R", d_r)), u @ m @ u.conj().T)
+
+
+SPAN_CASES = {
+    "planted": lambda rng: [build_planted(seed)[0] for seed in range(12)],
+    "generic": lambda rng: [random_state([("A", d), ("R", 2)], rng) for d in (3, 5, 8)],
+    "schmidt": lambda rng: [schmidt_state(spec, rng)
+                            for spec in ((.4, .2, .2, .1, .1), (.25, .25, .25, .25))],
+    "uniform cq": lambda rng: [uniform_cq_state(k, d_r, rng)
+                               for k, d_r in ((2, 2), (3, 2), (4, 3))],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPAN_CASES))
+def test_per_class_span_matches_component_oracle(kind, monkeypatch):
+    # the span handed to the first commutant equals that of every masked component
+    spans = []
+    commutant = ki._commutant
+
+    def spy(ops):
+        spans.append(ops)
+        return commutant(ops)
+
+    monkeypatch.setattr(ki, "_commutant", spy)
+    for rho in SPAN_CASES[kind](seed_rng(4, "span-oracle", kind)):
+        spans.clear()
+        ops = steered_operators(rho)
+        rho_a = partial_trace(rho, "A")
+        generate_algebra(ops, rho_a)
+        want = component_span(ops, rho_a.matrix)
+        got = spans[0]
+        assert got.shape == want.shape
+        flat_got, flat_want = got.reshape(len(got), -1), want.reshape(len(want), -1)
+        assert flat_got.T @ flat_got.conj() == pytest.approx(
+            flat_want.T @ flat_want.conj(), abs=1e-10)

@@ -497,3 +497,12 @@ def test_symbols_must_be_integers(call):
     for bad in ([0.7, 1.2], [0.0, 1.0], ["0", "1"], [False, True]):
         with pytest.raises(ValidationError, match="sequence symbols must be integers"):
             call(bad)
+
+
+def test_projector_rejects_array_branch_states_that_are_not_hermitian_matrices():
+    with pytest.raises(ValidationError, match="square and Hermitian"):
+        conditional_typical_projector([np.full((2, 3), 0.5)], [0, 0], 0.3)
+    with pytest.raises(ValidationError, match="square and Hermitian"):
+        conditional_typical_projector([np.array([[0.8, 0.1], [0.0, 0.2]])], [0, 0], 0.3)
+    near = np.array([[0.8, 0.1], [0.1 + 1e-12, 0.2]])
+    assert conditional_typical_projector([near], [0, 0], 0.3).shape == (4, 4)
