@@ -70,8 +70,7 @@ def random_pure(dims: int | TensorSpace | tuple, seed: int | np.random.Generator
 
 def random_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary matrix."""
-    rng = _as_generator(seed)
-    return phase_fixed_qr(_ginibre(rng, dim, dim))
+    return random_isometry(dim, dim, seed)
 
 
 def random_isometry(dim_out: int, dim_in: int, seed: int | np.random.Generator) -> np.ndarray:

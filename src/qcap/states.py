@@ -4,7 +4,9 @@ Matrices are stored in the row-major Kronecker convention matching the
 subsystem order of their :class:`~qcap.spaces.TensorSpace`.  Construction
 validates hermiticity, unit trace, and positivity; roundoff-scale negative
 eigenvalues down to -1e-10 are tolerated and clamped inside entropy and
-fidelity computations.
+fidelity computations.  A matrix whose off-diagonal blocks over the first
+subsystem are exact zeros is checked block by block, since its spectrum is
+the union of its diagonal blocks' spectra.
 """
 from __future__ import annotations
 
@@ -43,11 +45,17 @@ class DensityMatrix:
                 f"matrix shape {m.shape} does not match space dimension {d}")
         if not np.isfinite(m).all():
             raise ValidationError("matrix has NaN or infinite entries")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        # the diagonal blocks over the first subsystem, (d0, n, n); when they
+        # hold every nonzero entry, their spectra together are the spectrum of m
+        d0 = self.space.dims[0]
+        blocks = np.diagonal(m.reshape(d0, d // d0, d0, d // d0), axis1=0, axis2=2)
+        blocks = blocks.transpose(2, 0, 1)
+        op = blocks if np.count_nonzero(blocks) == np.count_nonzero(m) else m[None]
+        if np.max(np.abs(op - op.conj().swapaxes(1, 2))) > HERMITICITY_TOL:
             raise ValidationError("matrix is not Hermitian within 1e-10")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
             raise ValidationError("matrix trace differs from 1 by more than 1e-10")
-        low = float(np.min(np.linalg.eigvalsh(hermitize(m))))
+        low = float(np.min(np.linalg.eigvalsh(hermitize(op))))
         if low < EIGENVALUE_FLOOR:
             raise ValidationError(f"matrix has negative eigenvalue {low:.3e}")
         object.__setattr__(self, "matrix", m)

@@ -419,10 +419,11 @@ def project_and_renormalize(omega: DensityMatrix, m: int, delta: float) -> Proje
         idx = 0
         for x in string:
             idx = idx * d_c + x
-        out_view[idx, :, idx, :] += (p_string / classical_mass) * (cut / mass)
+        # every kept string is distinct, so each block is written once
+        out_view[idx, :, idx, :] = hermitize((p_string / classical_mass) * (cut / mass))
 
     space = TensorSpace.of(("C", d_c ** m), ("Q", dq_m), ("R", dr_m))
-    state = DensityMatrix(space, hermitize(out))
+    state = DensityMatrix(space, out)
     return ProjectedSource(state=state, kept_strings=kept,
                            classical_mass=classical_mass,
                            joint_mass=float(joint_mass),

@@ -8,7 +8,8 @@ from qcap.channels import (QuantumChannel, amplitude_damping_channel,
                            erasure_channel, identity_channel, stinespring,
                            tensor_channels)
 from qcap.errors import DimensionMismatchError, ValidationError
-from qcap.sampling import random_channel, random_isometry, random_state, seed_rng
+from qcap.sampling import (random_channel, random_isometry, random_state, random_unitary,
+                           seed_rng)
 from qcap.spaces import TensorSpace
 from qcap.states import (DensityMatrix, basis_state, entropy, maximally_mixed,
                          partial_trace)
@@ -178,12 +179,14 @@ def test_seed_rng_rejects_seeds_that_are_not_non_negative_integers(seed):
     lambda: QuantumChannel(True, True, (np.eye(1),)),
     lambda: random_channel(2, 2, 1.5, 0),
     lambda: random_isometry(3.5, 2, 0),
+    lambda: random_unitary(2.5, 0),
+    lambda: random_unitary(True, 0),
     lambda: random_state(4, 0, rank=2.5),
     lambda: random_state(4, 0, rank=True),
     lambda: basis_state(TensorSpace.single("A", 2), 1.5),
     lambda: basis_state(TensorSpace.single("A", 2), True)],
-    ids=["channel-float", "channel-bool", "kraus-count", "isometry", "rank-float",
-         "rank-bool", "basis-float", "basis-bool"])
+    ids=["channel-float", "channel-bool", "kraus-count", "isometry", "unitary-float",
+         "unitary-bool", "rank-float", "rank-bool", "basis-float", "basis-bool"])
 def test_integer_arguments_must_be_integers(call):
     with pytest.raises(ValidationError, match="integer|out of range"):
         call()

@@ -4,11 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
+from dense_oracle import dense_validate
 from qcap.errors import DimensionMismatchError, ValidationError
-from qcap.linalg import binary_entropy, entropy_from_probs, phase_fixed_qr, sqrt_psd
+from qcap.linalg import binary_entropy, entropy_from_probs, hermitize, phase_fixed_qr, sqrt_psd
 from qcap.sampling import random_pure, random_state, random_unitary, seed_rng
 from qcap.spaces import TensorSpace
-from qcap.states import (DensityMatrix, PureState, basis_state, block_form,
+from qcap.states import (EIGENVALUE_FLOOR, DensityMatrix, PureState, basis_state, block_form,
                          conditional_entropy, entropy, fidelity,
                          maximally_entangled, maximally_mixed,
                          mutual_information, partial_trace,
@@ -265,3 +266,63 @@ def test_partial_trace_every_subset_matches_index_sum():
             got = partial_trace(rho, ["ABC"[k] for k in keep])
             assert got.space.labels == tuple("ABC"[k] for k in keep)
             assert got.matrix == pytest.approx(ref, abs=1e-15)
+
+
+def _decision(call) -> str | None:
+    """The ValidationError message ``call`` raises, or None when it accepts."""
+    try:
+        call()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _block_diagonal(rng, d0: int, n: int, low: float) -> np.ndarray:
+    """Unit-trace block-diagonal matrix of d0 random n x n blocks, smallest eigenvalue low."""
+    w = rng.uniform(0.5, 1.0, size=(d0, n))
+    w[int(rng.integers(d0)), int(rng.integers(n))] = 0.0
+    w = w / w.sum() * (1.0 - low)
+    w[w == 0.0] = low
+    m = np.zeros((d0, n, d0, n), dtype=complex)
+    for c in range(d0):
+        u = random_unitary(n, rng)
+        m[c, :, c, :] = (u * w[c]) @ u.conj().T
+    return hermitize(m.reshape(d0 * n, d0 * n))
+
+
+def test_block_diagonal_negative_eigenvalue_is_rejected_like_the_dense_check():
+    m = _block_diagonal(seed_rng(1, "block-negative"), 4, 3, -1e-6)
+    space = TensorSpace.of(("C", 4), ("Q", 3))
+    message = _decision(lambda: DensityMatrix(space, m))
+    assert message is not None and "negative eigenvalue" in message
+    assert message == _decision(lambda: dense_validate(m))
+
+
+def test_block_diagonal_non_hermitian_entry_is_rejected():
+    m = _block_diagonal(seed_rng(2, "block-hermitian"), 3, 4, 1e-3)
+    m[5, 6] += 1e-6  # row and column both in block 1
+    assert np.count_nonzero(m) == 3 * 4 * 4
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        DensityMatrix(TensorSpace.of(("C", 3), ("Q", 4)), m)
+
+
+def test_one_off_block_entry_takes_the_dense_check():
+    # each diagonal block is PSD, but the coupling makes the whole matrix indefinite
+    m = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
+    m[1, 3] = m[3, 1] = 1e-3
+    for space in (TensorSpace.of(("C", 2), ("Q", 2)), TensorSpace.single("A", 4)):
+        message = _decision(lambda: DensityMatrix(space, m))
+        assert message is not None and "negative eigenvalue" in message
+        assert message == _decision(lambda: dense_validate(m))
+
+
+@pytest.mark.parametrize("d0, n", [(1, 8), (4, 4), (8, 1), (32, 8)])
+def test_block_check_decides_like_the_dense_check_around_the_floor(d0, n):
+    rng = seed_rng(3, "block-floor", d0, n)
+    space = TensorSpace.of(("C", d0), ("Q", n))
+    for shift, accepted in ((1e-9, True), (-1e-9, False)):
+        for _ in range(3):
+            m = _block_diagonal(rng, d0, n, EIGENVALUE_FLOOR + shift)
+            message = _decision(lambda: DensityMatrix(space, m))
+            assert (message is None) == accepted
+            assert message == _decision(lambda: dense_validate(m))

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from count_oracle import typical_count_by_vectors
+from dense_oracle import dense_projection
 from qcap.errors import ResourceLimitError, ValidationError
+from qcap.sampling import random_state, seed_rng
 from qcap.spaces import TensorSpace
 from qcap.states import DensityMatrix, permute_subsystems
 from qcap.typicality import (TypicalSpec, conditional_dimension_bound,
@@ -506,3 +508,27 @@ def test_projector_rejects_array_branch_states_that_are_not_hermitian_matrices()
         conditional_typical_projector([np.array([[0.8, 0.1], [0.0, 0.2]])], [0, 0], 0.3)
     near = np.array([[0.8, 0.1], [0.1 + 1e-12, 0.2]])
     assert conditional_typical_projector([near], [0, 0], 0.3).shape == (4, 4)
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.45])
+def test_projection_bytes_match_the_dense_assembly(delta):
+    rng = seed_rng(0, "projection-bytes")
+    space = TensorSpace.of(("Q", 2), ("R", 1))
+    source = cqr_state(2, 2, 1, [(0.4, random_state(space, rng).matrix),
+                                 (0.6, random_state(space, rng).matrix)])
+    res = project_and_renormalize(source, 3, delta)
+    assert res.state.matrix.tobytes() == dense_projection(source, 3, delta).tobytes()
+
+
+@pytest.mark.parametrize("delta,kept,joint_mass", [(0.3, 1, 0.72), (0.45, 4, 0.936)])
+def test_projection_keeps_a_source_whose_tiny_branch_is_indefinite_after_scaling(
+        delta, kept, joint_mass):
+    # the weight-1e-13 block diag(1e-13 + 1e-11, -1e-11) becomes the branch
+    # diag(101, -100) once block_form divides it by its weight; the source is
+    # a valid state, so its projection must not be rejected
+    space = TensorSpace.of(("C", 2), ("Q", 2), ("R", 1))
+    source = DensityMatrix(space, np.diag([0.6, 0.4 - 1e-13, 1e-13 + 1e-11, -1e-11]))
+    res = project_and_renormalize(source, 3, delta)
+    assert len(res.kept_strings) == kept
+    assert res.joint_mass == pytest.approx(joint_mass, abs=1e-9)
+    assert res.state.matrix.tobytes() == dense_projection(source, 3, delta).tobytes()
