@@ -133,10 +133,10 @@ class BlockPlan:
     undefined: bool = False
 
 
-def plan_block(report: CapacityReport, kid: KIDecomposition, n: int,
-               delta: float) -> BlockPlan:
+def plan_block(report: CapacityReport, n: int, delta: float) -> BlockPlan:
     """Copies of the source deliverable over ``n`` uses with rate margin ``delta``.
 
+    S_C, S_{Q|C} and S_CQ are the source entropies stored in ``report``.
     With finite nonzero slope both rate constraints bind:
     m = floor(min(n r_q^* / (S_{Q|C} + delta), n r_c^* / (S_C + delta))).
     With an infinite or zero slope only the corresponding single constraint
@@ -145,12 +145,12 @@ def plan_block(report: CapacityReport, kid: KIDecomposition, n: int,
     n = _positive_int(n, f"block length must be a positive integer, got {n!r}")
     if not delta > 0:
         raise ValidationError(f"margin delta must be positive, got {delta}")
-    if kid.s_cq <= _ENTROPY_ZERO or report.slope.degenerate:
+    if report.s_cq <= _ENTROPY_ZERO or report.slope.degenerate:
         return BlockPlan(m=0, rate_check=0.0, undefined=True)
     terms = []
     if not report.slope.infinite:
-        terms.append(n * report.r_q_star / (kid.s_q_given_c + delta))
+        terms.append(n * report.r_q_star / (report.s_q_given_c + delta))
     if report.slope.value != 0.0 or report.slope.infinite:
-        terms.append(n * report.r_c_star / (kid.s_c + delta))
+        terms.append(n * report.r_c_star / (report.s_c + delta))
     m = int(math.floor(min(terms) + 1e-12))
-    return BlockPlan(m=m, rate_check=m * kid.s_cq / n)
+    return BlockPlan(m=m, rate_check=m * report.s_cq / n)

@@ -3,6 +3,8 @@
 A channel maps ``dim_in`` to ``dim_out``; completeness ``sum K^dag K = I`` is
 validated to 1e-10 at construction.  ``channel_power`` is guarded so the
 ``l``-fold output space stays at or below 2^12 dimensions.
+``apply_channel`` and ``stinespring`` work on the stacked Kraus operators;
+the first stays Kraus-based as the reference for :mod:`qcap.information`.
 """
 from __future__ import annotations
 
@@ -138,24 +140,14 @@ def apply_channel(channel: QuantumChannel, rho: DensityMatrix,
         raise DimensionMismatchError(
             f"subsystem {label!r} has dimension {dims[pos]}, channel expects {channel.dim_in}")
     n = len(dims)
-    t = rho.matrix.reshape(dims + dims)
-    out_shape = None
-    acc = None
-    for k in channel.kraus:
-        # contract K into the ket axis, conj(K) into the bra axis
-        step = np.tensordot(k, t, axes=([1], [pos]))
-        step = np.moveaxis(step, 0, pos)
-        step = np.tensordot(k.conj(), step, axes=([1], [n + pos]))
-        step = np.moveaxis(step, 0, n + pos)
-        acc = step if acc is None else acc + step
-        out_shape = step.shape
-    new_subsystems = tuple(
+    legs = np.moveaxis(rho.matrix.reshape(dims + dims), (pos, n + pos), (0, 1))
+    kraus = np.stack(channel.kraus)
+    out = np.einsum("kia,ab...,kjb->ij...", kraus, legs, kraus.conj(), optimize=True)
+    new_space = TensorSpace(tuple(
         (lab, channel.dim_out if i == pos else d)
-        for i, (lab, d) in enumerate(rho.space.subsystems))
-    new_space = TensorSpace(new_subsystems)
+        for i, (lab, d) in enumerate(rho.space.subsystems)))
     d = new_space.dim
-    assert acc is not None and acc.shape == out_shape
-    return DensityMatrix(new_space, acc.reshape(d, d))
+    return DensityMatrix(new_space, np.moveaxis(out, (0, 1), (pos, n + pos)).reshape(d, d))
 
 
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
@@ -188,10 +180,6 @@ def stinespring(channel: QuantumChannel) -> np.ndarray:
 
     Output index order is (system, environment), row-major.
     """
-    k = len(channel.kraus)
-    v = np.zeros((channel.dim_out * k, channel.dim_in), dtype=np.complex128)
-    for j, op in enumerate(channel.kraus):
-        block = v.reshape(channel.dim_out, k, channel.dim_in)
-        block[:, j, :] = op
+    v = np.stack(channel.kraus, axis=1).reshape(-1, channel.dim_in)
     assert np.max(np.abs(v.conj().T @ v - np.eye(channel.dim_in))) < 1e-9
     return v

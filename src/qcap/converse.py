@@ -36,8 +36,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError, _nonnegative_int, _positive_int
-from .linalg import (SUPPORT_CUTOFF, batched_entropy, entropy_and_gradient, hermitize,
-                     phase_fixed_qr, phase_fixed_qr_adjoint, sqrt_psd)
+from .linalg import (SUPPORT_CUTOFF, batched_entropy, entropy_and_gradient,
+                     fidelity_from_eigenvalues, hermitize, phase_fixed_qr,
+                     phase_fixed_qr_adjoint, sqrt_psd)
 from .optimize import maximize
 from .sampling import seed_rng
 from .states import DensityMatrix, block_form
@@ -218,9 +219,8 @@ class _GadgetProblem:
         if self.kind == "Y":
             s_y = batched_entropy(rho_y if g.shape[1] <= g.shape[2] else g_h @ g)
             value = s_y - batched_entropy(self._marginal_c(rho_y))
-        eigs = np.clip(np.linalg.eigvalsh(hermitize(self._fidelity_operator(rho_y))), 0.0, None)
-        fid = np.minimum(np.sqrt(eigs).sum(axis=1), 1.0)
-        return value, fid
+        return value, fidelity_from_eigenvalues(
+            np.linalg.eigvalsh(hermitize(self._fidelity_operator(rho_y))))
 
     def gradient(self, thetas: np.ndarray, floor: float, kappa: float) -> np.ndarray:
         """Exact gradient of value - kappa * max(0, floor - F)^2 for a batch (B, P).
@@ -250,7 +250,7 @@ class _GadgetProblem:
         else:
             g_bar = np.zeros_like(g)
         lam, vec = np.linalg.eigh(hermitize(self._fidelity_operator(rho_y)))
-        fid = np.minimum(np.sqrt(np.clip(lam, 0.0, None)).sum(axis=1), 1.0)
+        fid = fidelity_from_eigenvalues(lam)
         # floor <= 1, so the shortfall is 0 wherever min(., 1) clips the fidelity;
         # the 2 of 2 kappa and the 1/2 of dF/drho_f cancel
         pull = kappa * np.clip(floor - fid, 0.0, None)

@@ -28,13 +28,27 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channels import QuantumChannel, apply_channel, compose
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError, _positive_int
 from .linalg import batched_entropy, entropy_of_matrix
 from .spaces import TensorSpace
 from .states import DensityMatrix, PureState, partial_trace
 
 PROB_TOL = 1e-9
 MAX_ENSEMBLE_ENTRIES = 4096
+
+
+def _probabilities(probs) -> np.ndarray:
+    """Finite weights, nonnegative within 1e-9 and summing to 1 within 1e-8, renormalized."""
+    p = np.asarray(probs, dtype=float).reshape(-1)
+    if not np.isfinite(p).all():
+        raise ValidationError("ensemble probabilities have NaN or infinite entries")
+    if np.any(p < -PROB_TOL):
+        raise ValidationError("ensemble probabilities must be nonnegative")
+    p = np.clip(p, 0.0, None)
+    total = p.sum()
+    if abs(total - 1.0) > 1e-8:
+        raise ValidationError(f"ensemble probabilities sum to {total:.8f}, expected 1")
+    return p / total
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,27 +61,21 @@ class CQEnsemble:
     vectors: np.ndarray  # shape (n, dim_a * dim_r)
 
     def __post_init__(self) -> None:
+        message = f"ensemble dimensions {self.dim_a!r}, {self.dim_r!r} must be positive integers"
+        object.__setattr__(self, "dim_a", _positive_int(self.dim_a, message))
+        object.__setattr__(self, "dim_r", _positive_int(self.dim_r, message))
         p = np.asarray(self.probs, dtype=float).reshape(-1)
         v = np.asarray(self.vectors, dtype=np.complex128)
-        if self.dim_a < 1 or self.dim_r < 1:
-            raise ValidationError("ensemble dimensions must be positive")
-        if v.ndim != 2 or v.shape != (p.size, self.dim_a * self.dim_r):
+        if v.shape != (p.size, self.dim_a * self.dim_r):
             raise DimensionMismatchError(
-                f"vectors shape {v.shape} does not match "
-                f"({p.size}, {self.dim_a * self.dim_r})")
+                f"vectors shape {v.shape} does not match ({p.size}, {self.dim_a * self.dim_r})")
         if p.size == 0:
             raise ValidationError("ensemble needs at least one entry")
         if p.size > MAX_ENSEMBLE_ENTRIES:
             raise ValidationError(f"ensemble has {p.size} entries, limit {MAX_ENSEMBLE_ENTRIES}")
-        if not (np.isfinite(p).all() and np.isfinite(v).all()):
-            raise ValidationError("ensemble has NaN or infinite entries")
-        if np.any(p < -PROB_TOL):
-            raise ValidationError("ensemble probabilities must be nonnegative")
-        p = np.clip(p, 0.0, None)
-        total = p.sum()
-        if abs(total - 1.0) > 1e-8:
-            raise ValidationError(f"ensemble probabilities sum to {total:.8f}, expected 1")
-        p = p / total
+        if not np.isfinite(v).all():
+            raise ValidationError("ensemble vectors have NaN or infinite entries")
+        p = _probabilities(p)
         norms = np.linalg.norm(v, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-8):
             raise ValidationError("every ensemble vector must have unit norm")
@@ -160,14 +168,9 @@ def holevo_information(ensemble, channel: QuantumChannel) -> float:
     or a sequence of ``(prob, DensityMatrix)`` pairs on the channel input.
     """
     if isinstance(ensemble, CQEnsemble):
-        result = generalized_information(ensemble, channel)
         # with branch R-marginals traced out, only the classical part remains
-        return result.r_c
-    probs = np.array([p for p, _ in ensemble], dtype=float)
-    if np.any(probs < -PROB_TOL) or abs(probs.sum() - 1.0) > 1e-8:
-        raise ValidationError("ensemble probabilities must be nonnegative and sum to 1")
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
+        return generalized_information(ensemble, channel).r_c
+    probs = _probabilities([p for p, _ in ensemble])
     outputs = []
     for _, rho in ensemble:
         if not isinstance(rho, DensityMatrix):

@@ -135,7 +135,7 @@ def _commutant(ops: np.ndarray) -> np.ndarray:
     return v[:, keep].T.reshape(-1, s, s)
 
 
-def generate_algebra(ops, rho_a) -> AlgebraBasis:
+def generate_algebra(ops, rho_a: DensityMatrix) -> AlgebraBasis:
     """The *-algebra generated by support-normalized steered operators.
 
     ``ops`` is an iterable of operators on A; ``rho_a`` the marginal state
@@ -144,7 +144,9 @@ def generate_algebra(ops, rho_a) -> AlgebraBasis:
     (see the module docstring).  Together with the identity they generate the
     algebra, returned as their bicommutant along with the commutant.
     """
-    mat = rho_a.matrix if isinstance(rho_a, DensityMatrix) else np.asarray(rho_a, dtype=complex)
+    if not isinstance(rho_a, DensityMatrix):
+        raise ValidationError(f"rho_a must be a DensityMatrix, got {type(rho_a).__name__}")
+    mat = rho_a.matrix
     d = mat.shape[0]
     stack = np.stack([np.asarray(o, dtype=complex) for o in ops])
     if stack.shape[1:] != (d, d):
@@ -155,8 +157,6 @@ def generate_algebra(ops, rho_a) -> AlgebraBasis:
     eigs = w[keep]
     support = v[:, keep]
     s = int(eigs.size)
-    if s == 0:
-        raise ValidationError("marginal state has empty support")
 
     compressed = np.einsum("ia,xij,jb->xab", support.conj(), stack, support)
     scale = 1.0 / np.sqrt(eigs)

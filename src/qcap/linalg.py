@@ -61,6 +61,12 @@ def binary_entropy(p: float) -> float:
     return entropy_from_probs(np.array([p, 1.0 - p]))
 
 
+def fidelity_from_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """min(Tr sqrt M, 1) from the eigenvalues (..., d) of M = sqrt(rho) xi sqrt(rho); those
+    at or below ``SUPPORT_CUTOFF`` are rounding (sqrt(1e-17) = 3e-9) and count as zero."""
+    return np.minimum(np.sqrt(np.where(w <= SUPPORT_CUTOFF, 0.0, w)).sum(axis=-1), 1.0)
+
+
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Principal square root of a positive semidefinite matrix."""
     w, v = np.linalg.eigh(hermitize(np.asarray(m)))

@@ -19,6 +19,7 @@ from .errors import DimensionMismatchError, ValidationError, _nonnegative_int
 from .linalg import (
     SUPPORT_CUTOFF,
     entropy_from_probs,
+    fidelity_from_eigenvalues,
     hermitize,
     sqrt_psd,
 )
@@ -249,9 +250,7 @@ def fidelity(rho: DensityMatrix, xi: DensityMatrix) -> float:
     """Uhlmann fidelity F = Tr sqrt(sqrt(rho) xi sqrt(rho)), in [0, 1]."""
     _check_same_dim(rho, xi)
     s = sqrt_psd(rho.matrix)
-    w = np.linalg.eigvalsh(hermitize(s @ xi.matrix @ s))
-    f = float(np.sqrt(np.clip(w, 0.0, None)).sum())
-    return min(f, 1.0)
+    return float(fidelity_from_eigenvalues(np.linalg.eigvalsh(hermitize(s @ xi.matrix @ s))))
 
 
 def trace_distance(rho: DensityMatrix, xi: DensityMatrix) -> float:

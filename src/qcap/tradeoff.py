@@ -332,14 +332,9 @@ def compute_curve(channel: QuantumChannel, l: int = 1,
     axis-projection anchors when no witnessed point achieves them.
     """
     opts = opts or OptimizerOptions()
-    if t_grid is None:
-        grid = default_t_grid()
-    else:
-        grid = np.asarray(sorted(float(t) for t in t_grid))
-        if grid.size < 2 or grid[0] != 0.0 or grid[-1] != 1.0:
-            raise ValidationError("the weight grid must span 0 to 1 inclusive")
-        if np.any(grid < 0) or np.any(grid > 1):
-            raise ValidationError("scalarization weights must lie in [0, 1]")
+    grid = default_t_grid() if t_grid is None else np.asarray(sorted(float(t) for t in t_grid))
+    if grid.size < 2 or not np.isfinite(grid).all() or grid[0] != 0.0 or grid[-1] != 1.0:
+        raise ValidationError("the weight grid must be finite and span 0 to 1 inclusive")
 
     achieved: list[CurvePoint] = []
     warm: list[np.ndarray] = []

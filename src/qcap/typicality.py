@@ -126,15 +126,21 @@ def _validate_conditional(cond) -> np.ndarray:
     return clipped
 
 
+def _symbols(seq: Sequence[int], k: int, what: str) -> np.ndarray:
+    """``seq`` as a non-empty 1-d integer array over range(k); ``what`` names it in errors."""
+    s = np.asarray(seq)
+    if s.ndim != 1 or s.size == 0:
+        raise ValidationError(f"{what} must be 1-dimensional and non-empty")
+    if not np.issubdtype(s.dtype, np.integer):
+        raise ValidationError(f"{what} symbols must be integers, got {s.dtype}")
+    if s.min() < 0 or s.max() >= k:
+        raise ValidationError(f"{what} contains symbols outside the alphabet")
+    return s
+
+
 def _base_sequence(xn: Sequence[int], delta: float, kx: int) -> np.ndarray:
     """The base sequence as a non-empty 1-d integer array over range(kx); 0 < delta < inf."""
-    xs = np.asarray(xn)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValidationError("base sequence must be 1-dimensional and non-empty")
-    if not np.issubdtype(xs.dtype, np.integer):
-        raise ValidationError(f"base sequence symbols must be integers, got {xs.dtype}")
-    if xs.min() < 0 or xs.max() >= kx:
-        raise ValidationError("base sequence contains symbols outside the alphabet")
+    xs = _symbols(xn, kx, "base sequence")
     if not 0 < delta < math.inf:
         raise ValidationError(f"slack must be positive, got {delta!r}")
     return xs
@@ -145,16 +151,11 @@ def is_conditionally_typical(yn: Sequence[int], xn: Sequence[int], cond,
     """Joint-count test |N(x,y) - p(y|x) N(x)| <= n delta for all pairs."""
     m = _validate_conditional(cond)
     xs = _base_sequence(xn, delta, m.shape[0])
-    ys = np.asarray(yn)
-    if ys.shape != xs.shape:
-        raise ValidationError("sequences must be 1-dimensional with equal length")
-    if not np.issubdtype(ys.dtype, np.integer):
-        raise ValidationError(f"sequence symbols must be integers, got {ys.dtype}")
     kx, ky = m.shape
-    if ys.min() < 0 or ys.max() >= ky:
-        raise ValidationError("sequence contains symbols outside the alphabet")
-    n = xs.size
-    slack = n * float(delta)
+    ys = _symbols(yn, ky, "sequence")
+    if ys.size != xs.size:
+        raise ValidationError("sequences must be 1-dimensional with equal length")
+    slack = xs.size * float(delta)
     joint = np.zeros((kx, ky), dtype=int)
     np.add.at(joint, (xs, ys), 1)
     targets = m * joint.sum(axis=1, keepdims=True)
@@ -294,6 +295,8 @@ def _descending_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     w, v = np.linalg.eigh(hermitize(matrix))
     order = np.argsort(w)[::-1]
     w = np.clip(w[order], 0.0, None)
+    if not w[0] > 0:
+        raise ValidationError("a branch state needs a positive eigenvalue")
     return w / w.sum(), v[:, order]
 
 
@@ -331,13 +334,12 @@ def conditional_typical_projector(branch_states: Sequence, xn: Sequence[int],
     mats = [s.matrix if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex)
             for s in branch_states]
     for m in mats:
-        if (m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0
+        if (m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0 or not np.isfinite(m).all()
                 or np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL):
-            raise ValidationError("branch states must be square and Hermitian within 1e-10")
-    dims = {m.shape[0] for m in mats}
-    if len(dims) != 1:
+            raise ValidationError("branch states must be finite, square and Hermitian within 1e-10")
+    if len({m.shape for m in mats}) != 1:
         raise ValidationError("branch states must share one dimension")
-    dim = dims.pop()
+    dim = mats[0].shape[0]
     xs = _base_sequence(xn, delta, len(mats))
     n = xs.size
     if n * math.log2(dim) > PROJECTOR_LOG2_LIMIT:
@@ -346,7 +348,7 @@ def conditional_typical_projector(branch_states: Sequence, xn: Sequence[int],
             f"got {n * math.log2(dim):.1f}")
     eig = [_descending_eigensystem(m) for m in mats]
     cond = np.stack([w for w, _ in eig], axis=0)
-    seqs = enumerate_conditionally_typical(cond, xs, delta)
+    seqs = _enumerate(cond, xs, float(delta))
     bases = [eig[int(x)][1] for x in xs]
     return _basis_projector_sum(seqs, bases, dim, n)
 

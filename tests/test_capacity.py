@@ -121,7 +121,7 @@ def test_degenerate_source_has_zero_demand():
     report = capacity_from_curve(line_curve(), kid)
     assert report.c_g == 0.0
     assert report.copies_per_use is None
-    plan = plan_block(report, kid, n=10, delta=0.1)
+    plan = plan_block(report, n=10, delta=0.1)
     assert plan.undefined and plan.m == 0
 
 
@@ -130,14 +130,14 @@ def test_plan_block_hand_checked():
     kid = ki_decompose(bell_pair())
     report = capacity_from_curve(curve, kid)
     # zero slope: only the quantum rate constrains, m = floor(n / (1 + delta))
-    plan = plan_block(report, kid, n=100, delta=0.02)
+    plan = plan_block(report, n=100, delta=0.02)
     assert plan.m == math.floor(100.0 * 1.0 / (kid.s_q_given_c + 0.02) + 1e-12)
     assert plan.m == 98
     assert plan.rate_check == pytest.approx(98 * kid.s_cq / 100.0, abs=1e-12)
 
     kid = ki_decompose(classical_pair())
     report = capacity_from_curve(curve, kid)
-    plan = plan_block(report, kid, n=100, delta=1.0)
+    plan = plan_block(report, n=100, delta=1.0)
     assert plan.m == 50
     assert not plan.undefined
 
@@ -148,7 +148,7 @@ def test_plan_block_both_constraints_bind():
     kid = ki_decompose(both, system=("A", "B"))
     report = capacity_from_curve(curve, kid)
     # unit slope: r* = (0.5, 0.5), both entropies 1, so both terms agree
-    plan = plan_block(report, kid, n=40, delta=0.25)
+    plan = plan_block(report, n=40, delta=0.25)
     assert plan.m == math.floor(40 * 0.5 / 1.25 + 1e-12)
     assert plan.m == 16
 
@@ -157,20 +157,20 @@ def test_plan_block_validation():
     kid = ki_decompose(bell_pair())
     report = capacity_from_curve(line_curve(), kid)
     with pytest.raises(ValidationError):
-        plan_block(report, kid, n=0, delta=0.1)
+        plan_block(report, n=0, delta=0.1)
     for delta in (0.0, float("nan")):
         with pytest.raises(ValidationError, match="margin delta must be positive"):
-            plan_block(report, kid, n=10, delta=delta)
+            plan_block(report, n=10, delta=delta)
 
 
 def test_plan_block_integer_types():
     kid = ki_decompose(bell_pair())
     report = capacity_from_curve(line_curve(), kid)
-    plan = plan_block(report, kid, n=np.int64(100), delta=0.02)
-    assert plan == plan_block(report, kid, n=100, delta=0.02)
+    plan = plan_block(report, n=np.int64(100), delta=0.02)
+    assert plan == plan_block(report, n=100, delta=0.02)
     for bad in (True, 100.0):
         with pytest.raises(ValidationError, match="block length"):
-            plan_block(report, kid, n=bad, delta=0.02)
+            plan_block(report, n=bad, delta=0.02)
 
 
 def test_generalized_capacity_end_to_end():

@@ -210,3 +210,15 @@ def test_channel_rejects_non_finite(bad):
     k[0, 1] = bad
     with pytest.raises(ValidationError, match="NaN or infinite"):
         QuantumChannel(2, 2, (k,))
+
+
+def test_apply_channel_on_middle_subsystem_matches_kraus_sum():
+    rho = random_state(TensorSpace.of(("A", 2), ("B", 2), ("C", 2)), seed_rng(3, "middle"))
+    chan = erasure_channel(0.3)
+    out = apply_channel(chan, rho, target="B")
+    assert out.space.subsystems == (("A", 2), ("B", 3), ("C", 2))
+    want = np.zeros((12, 12), dtype=complex)
+    for k in chan.kraus:
+        lift = np.kron(np.kron(np.eye(2), k), np.eye(2))
+        want += lift @ rho.matrix @ lift.conj().T
+    assert np.max(np.abs(out.matrix - want)) <= 1e-12

@@ -275,14 +275,19 @@ def penalized_without_null_space(problem: _GadgetProblem, floor: float, kappa: f
     return objective
 
 
+def rank_deficient_targets() -> dict:
+    """Sources whose fidelity operator has rounding-level eigenvalues."""
+    return {"lopsided bit": classical_bit(0.65), "pure ebit": pure_ebit(),
+            "bit x ebit": bit_times_ebit(), "zero-weight block": classical_bit(1.0)}
+
+
 def test_converse_gradient_matches_central_differences():
-    # On rank-deficient targets the fidelity takes square roots of rounding-level
-    # eigenvalues (~1e-17), which puts 0.2-2% noise into differences of the
-    # raw fidelity; with the penalty on, those targets are compared against
-    # differences of a fidelity that drops them, as the exact gradient does.
+    # On rank-deficient targets a fidelity that took square roots of rounding-level
+    # eigenvalues (~1e-17) would put 0.2-2% noise into its differences; with the
+    # penalty on, those targets are compared against an independent contraction
+    # whose fidelity drops them, as evaluate and the exact gradient do.
     full_rank = {"mixed ebit": mixed_ebit(), "two mixed blocks": two_block_mixed()}
-    deficient = {"lopsided bit": classical_bit(0.65), "pure ebit": pure_ebit(),
-                 "bit x ebit": bit_times_ebit(), "zero-weight block": classical_bit(1.0)}
+    deficient = rank_deficient_targets()
     for name, state in {**full_rank, **deficient}.items():
         src = extend_source(state)
         for kind in ("Y", "W"):
@@ -302,6 +307,21 @@ def test_converse_gradient_matches_central_differences():
                 assert np.all(err <= bound), (name, kind, floor, err / bound)
                 if floor > 0:
                     assert np.linalg.norm(diff, axis=1).min() > 0.1  # the penalty is active
+
+
+def test_penalized_evaluate_is_differentiable_on_rank_deficient_targets():
+    # evaluate and gradient share one fidelity, so differences of the value match
+    floor, kappa = 0.999, 100.0
+    for name, state in rank_deficient_targets().items():
+        src = extend_source(state)
+        for kind in ("Y", "W"):
+            problem = _GadgetProblem(src, kind)
+            thetas = seed_rng(5, "converse-gradient", name, kind).normal(
+                size=(3, problem.n_params))
+            exact = problem.gradient(thetas, floor, kappa)
+            diff = central_differences(penalized(problem, floor, kappa), thetas, problem.chunk)
+            err = np.linalg.norm(exact - diff, axis=1)
+            assert np.all(err <= 1e-6 * np.linalg.norm(diff, axis=1)), (name, kind, err)
 
 
 def test_estimate_runs_one_maximize_per_stage(monkeypatch):

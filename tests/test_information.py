@@ -302,3 +302,28 @@ def test_ensemble_rejects_non_finite(bad):
     vecs[0, 1] = bad
     with pytest.raises(ValidationError, match="NaN or infinite"):
         CQEnsemble(2, 1, np.array([0.5, 0.5]), vecs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_holevo_list_form_checks_probabilities_like_the_ensemble(bad):
+    rho = DensityMatrix(TensorSpace.single("A", 2), np.eye(2) / 2.0)
+    chan = dephasing_channel(0.2)
+    entries = [(bad, rho), (0.5, rho)]
+    with pytest.raises(ValidationError, match="ensemble probabilities") as from_list:
+        holevo_information(entries, chan)
+    with pytest.raises(ValidationError, match="ensemble probabilities") as from_ensemble:
+        CQEnsemble(2, 1, np.array([bad, 0.5]), np.eye(2, dtype=complex))
+    assert str(from_list.value) == str(from_ensemble.value)
+
+
+@pytest.mark.parametrize("dims", [(2.0, 2), (2, 1.0), (True, 2), (0, 2), (2, -1), ("2", 2)])
+def test_ensemble_dimensions_must_be_positive_integers(dims):
+    with pytest.raises(ValidationError, match="ensemble dimensions"):
+        CQEnsemble(*dims, np.array([1.0]), np.eye(1, 4, dtype=complex))
+
+
+def test_ensemble_dimensions_accept_numpy_integers():
+    ens = CQEnsemble(np.int64(2), np.int64(2), np.array([1.0]), np.eye(1, 4, dtype=complex))
+    assert type(ens.dim_a) is int and type(ens.dim_r) is int
+    gi = generalized_information(ens, identity_channel(2))
+    assert gi.i_g == pytest.approx(0.0, abs=1e-12)

@@ -329,3 +329,13 @@ def test_per_class_span_matches_component_oracle(kind, monkeypatch):
         flat_got, flat_want = got.reshape(len(got), -1), want.reshape(len(want), -1)
         assert flat_got.T @ flat_got.conj() == pytest.approx(
             flat_want.T @ flat_want.conj(), abs=1e-10)
+
+
+def test_generate_algebra_requires_a_density_matrix():
+    rho = maximally_entangled(TensorSpace.of(("A", 2), ("R", 2))).density()
+    ops = steered_operators(rho)
+    rho_a = partial_trace(rho, "A")
+    assert generate_algebra(ops, rho_a).dim == 4
+    for raw in (rho_a.matrix, np.diag([1.0, np.nan])):
+        with pytest.raises(ValidationError, match="rho_a must be a DensityMatrix"):
+            generate_algebra(ops, raw)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qcap import tradeoff
 from qcap.channels import (QuantumChannel, channel_from_name, channel_power,
                            dephasing_channel, identity_channel)
 from qcap.errors import NumericalFailureError, ValidationError
@@ -174,6 +175,17 @@ def test_curve_grid_validation():
         compute_curve(identity_channel(2), t_grid=[0.2, 1.0], opts=SMALL)
     with pytest.raises(ValidationError):
         compute_curve(identity_channel(2), t_grid=[0.0, 0.5], opts=SMALL)
+
+
+@pytest.mark.parametrize("grid", [[0.0, float("nan"), 1.0], [0.0, float("inf"), 1.0],
+                                  [0.0, -0.5, 1.0], [1.0], [0.0, 0.5]])
+def test_curve_grid_is_checked_before_any_solve(grid, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the grid was checked")
+
+    monkeypatch.setattr(tradeoff, "optimize_scalarized", no_solve)
+    with pytest.raises(ValidationError, match="weight grid"):
+        compute_curve(identity_channel(2), t_grid=grid, opts=SMALL)
 
 
 def test_fully_dephasing_has_no_quantum_rate():

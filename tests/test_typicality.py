@@ -389,6 +389,18 @@ def test_typical_projector_rejects_bad_block_length():
             typical_projector(rho, n, 0.1)
 
 
+@pytest.mark.parametrize("branch, message", [
+    (np.zeros((2, 2)), "positive eigenvalue"),
+    (-np.eye(2), "positive eigenvalue"),
+    (np.diag([1.0, np.nan]), "finite, square and Hermitian"),
+    (np.diag([np.inf, 1.0]), "finite, square and Hermitian")])
+def test_projector_rejects_branch_without_a_spectrum(branch, message):
+    with pytest.raises(ValidationError, match=message):
+        typical_projector(branch, 1, 0.3)
+    with pytest.raises(ValidationError, match=message):
+        conditional_typical_projector([np.diag([0.8, 0.2]), branch], [1, 0], 0.3)
+
+
 def test_spec_with_roundoff_negatives():
     # a spec that validates also passes the conditional functions it delegates to
     spec = TypicalSpec([0.5 + 0.5e-12, 0.5, -0.4e-12, -0.4e-12], 4, 0.3)
