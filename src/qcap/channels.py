@@ -5,6 +5,8 @@ validated to 1e-10 at construction.  ``channel_power`` is guarded so the
 ``l``-fold output space stays at or below 2^12 dimensions.
 ``apply_channel`` and ``stinespring`` work on the stacked Kraus operators;
 the first stays Kraus-based as the reference for :mod:`qcap.information`.
+The named families are covariant under diagonal phases and say so with
+``phase_covariant``; tensor products keep the flag when both factors have it.
 """
 from __future__ import annotations
 
@@ -25,11 +27,22 @@ POWER_LOG2_LIMIT = 12.0
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """A completely positive trace-preserving map given by Kraus operators."""
+    """A completely positive trace-preserving map given by Kraus operators.
+
+    ``phase_covariant`` declares, without a numerical check, that for every
+    diagonal unitary U on the input there is a unitary V on the output with
+    N(U rho U^dagger) = V N(rho) V^dagger.  On a tensor product the claim
+    covers the products of diagonal unitaries on its factors, which include
+    Z_D = diag(exp(2 pi i j / D)) in the product basis.  :mod:`qcap.tradeoff`
+    then searches smaller ensembles; a wrong flag can cost optimality, never
+    the witnessed rates.  The field belongs to the constructors that can
+    prove the claim; it is not a tuning option.
+    """
 
     dim_in: int
     dim_out: int
     kraus: tuple[np.ndarray, ...]
+    phase_covariant: bool = False
 
     def __post_init__(self) -> None:
         message = f"channel dimensions {self.dim_in!r}, {self.dim_out!r} must be positive integers"
@@ -53,7 +66,7 @@ class QuantumChannel:
 
 def identity_channel(dim: int) -> QuantumChannel:
     dim = _positive_int(dim, f"identity dimension must be a positive integer, got {dim!r}")
-    return QuantumChannel(dim, dim, (np.eye(dim, dtype=np.complex128),))
+    return QuantumChannel(dim, dim, (np.eye(dim, dtype=np.complex128),), phase_covariant=True)
 
 
 def dephasing_channel(p: float) -> QuantumChannel:
@@ -62,7 +75,7 @@ def dephasing_channel(p: float) -> QuantumChannel:
         raise ValidationError(f"dephasing probability {p} outside [0, 1]")
     z = np.diag([1.0, -1.0]).astype(np.complex128)
     return QuantumChannel(2, 2, (np.sqrt(1.0 - p) * np.eye(2, dtype=np.complex128),
-                                 np.sqrt(p) * z))
+                                 np.sqrt(p) * z), phase_covariant=True)
 
 
 def depolarizing_channel(p: float) -> QuantumChannel:
@@ -76,7 +89,7 @@ def depolarizing_channel(p: float) -> QuantumChannel:
     return QuantumChannel(2, 2, (np.sqrt(1.0 - 0.75 * p) * eye,
                                  np.sqrt(p / 4.0) * x,
                                  np.sqrt(p / 4.0) * y,
-                                 np.sqrt(p / 4.0) * z))
+                                 np.sqrt(p / 4.0) * z), phase_covariant=True)
 
 
 def erasure_channel(p: float) -> QuantumChannel:
@@ -89,7 +102,8 @@ def erasure_channel(p: float) -> QuantumChannel:
     k1[2, 0] = 1.0
     k2 = np.zeros((3, 2), dtype=np.complex128)
     k2[2, 1] = 1.0
-    return QuantumChannel(2, 3, (np.sqrt(1.0 - p) * embed, np.sqrt(p) * k1, np.sqrt(p) * k2))
+    return QuantumChannel(2, 3, (np.sqrt(1.0 - p) * embed, np.sqrt(p) * k1, np.sqrt(p) * k2),
+                          phase_covariant=True)
 
 
 def amplitude_damping_channel(gamma: float) -> QuantumChannel:
@@ -98,7 +112,7 @@ def amplitude_damping_channel(gamma: float) -> QuantumChannel:
         raise ValidationError(f"damping probability {gamma} outside [0, 1]")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=np.complex128)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=np.complex128)
-    return QuantumChannel(2, 2, (k0, k1))
+    return QuantumChannel(2, 2, (k0, k1), phase_covariant=True)
 
 
 _NAMED_SPEC = re.compile(r"^\s*([a-z_]+)\s*\(\s*([^()]*)\s*\)\s*$")
@@ -161,8 +175,10 @@ def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
 
 
 def tensor_channels(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
+    """The channel a tensor b; phase covariant when both factors are."""
     kraus = tuple(np.kron(x, y) for x in a.kraus for y in b.kraus)
-    return QuantumChannel(a.dim_in * b.dim_in, a.dim_out * b.dim_out, kraus)
+    return QuantumChannel(a.dim_in * b.dim_in, a.dim_out * b.dim_out, kraus,
+                          phase_covariant=a.phase_covariant and b.phase_covariant)
 
 
 def channel_power(channel: QuantumChannel, l: int) -> QuantumChannel:

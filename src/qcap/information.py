@@ -165,7 +165,11 @@ def holevo_information(ensemble, channel: QuantumChannel) -> float:
     """Holevo quantity of the output ensemble {p_x, N(rho_x)}.
 
     ``ensemble`` may be a :class:`CQEnsemble` (branch A-marginals are used)
-    or a sequence of ``(prob, DensityMatrix)`` pairs on the channel input.
+    or a sequence of ``(prob, DensityMatrix)`` pairs whose whole states, of
+    any subsystem structure, are the channel input.  That form applies the
+    Kraus operators through :func:`qcap.channels.apply_channel`, a path
+    independent of the output map that the ensemble form shares with
+    :mod:`qcap.tradeoff`.
     """
     if isinstance(ensemble, CQEnsemble):
         # with branch R-marginals traced out, only the classical part remains
@@ -179,7 +183,8 @@ def holevo_information(ensemble, channel: QuantumChannel) -> float:
             raise DimensionMismatchError(
                 f"ensemble state dimension {rho.dim} differs from channel input "
                 f"{channel.dim_in}")
-        outputs.append(apply_channel(channel, rho).matrix)
+        whole = DensityMatrix(TensorSpace.single("A", rho.dim), rho.matrix)
+        outputs.append(apply_channel(channel, whole).matrix)
     stack = np.stack(outputs)
     avg = np.einsum("x,xab->ab", probs, stack)
     return float(entropy_of_matrix(avg) - np.dot(probs, batched_entropy(stack)))

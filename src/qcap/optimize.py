@@ -41,9 +41,12 @@ def maximize(objective: Objective, theta0: np.ndarray, *, gradient: Gradient, ma
     per iteration, but each keeps its own step, stall count and stopping
     rule, so every row ends where an ascent from that row alone would.
     Objective calls take at most ``chunk`` rows at a time.  Level-1 and
-    level-2 batches stay below the callers' chunks, but level-3 line searches
-    do not: one level-3 depolarizing solve with 8 restarts peaks at 266 MB
-    with its chunk of 13 rows and at 565 MB without it.
+    level-2 batches stay below the callers' chunks, and so do level-3 ones
+    of phase-covariant channels (a level-3 depolarizing solve with 8
+    restarts peaks at 114 MB; its chunk of 100 rows never binds).  Other
+    level-3 line searches do not: the same solve on depolarizing's Kraus
+    operators without the flag peaks at 266 MB with its chunk of 13 rows
+    and at 568 MB without it.
     """
     theta = np.array(theta0, dtype=float)
     best = _chunked_eval(objective, theta, chunk)

@@ -21,6 +21,16 @@ re-evaluating a witness reproduces the recorded rates: the optimizer and
 :func:`qcap.information.generalized_information` share one output map,
 which takes rho_x to N(rho_x) and to the complementary output
 N^c(rho_x)_jk = Tr[K_j rho_x K_k^dagger], whose entropy is S((N tensor id)(psi_x)).
+
+A search uses n = D^2 + 2 branches, D = d_A^l.  For a channel flagged
+``phase_covariant`` it uses n = D + 1 and reads the average output as
+N(Delta(rho_bar)), Delta the dephasing in the product basis: twirling an
+ensemble by Z^k = diag(exp(2 pi i j k / D)) keeps every branch term and
+dephases the average, which can only raise S(N(rho_bar)), and the objective
+then depends on each branch only through (diag rho_x, its branch term), a
+point in D dimensions, so Caratheodory leaves D + 1 branches (Wilde,
+*Quantum Information Theory*, 2nd ed., on covariant channels).  The witness
+of such a search is that twirl, with D (D + 1) branches.
 """
 from __future__ import annotations
 
@@ -104,6 +114,10 @@ class _EnsembleProblem:
     A parameter row holds one complex d_A x d_R matrix A_x per branch (real
     parts, then imaginary parts).  X_x = A_x A_x^dagger / sum_y |A_y|^2 is the
     weighted branch state p_x rho_x, so p_x = Tr X_x and psi_x = A_x / |A_x|.
+    There are n = d_A^2 + 2 branches and the average output is
+    N(sum_x X_x), or, for a phase-covariant channel, n = d_A + 1 branches and
+    the average output N(Delta(sum_x X_x)); ``ensemble_of`` then returns the
+    twirled witness of d_A (d_A + 1) branches.
     """
 
     def __init__(self, channel: QuantumChannel, l: int):
@@ -113,7 +127,13 @@ class _EnsembleProblem:
         self.d_a = power.dim_in
         self.d_b = power.dim_out
         self.d_r = power.dim_in
-        self.n = self.d_a ** 2 + 2
+        if power.phase_covariant:
+            # vec N(|j><j|): the diagonal rows of the output map's B block
+            self.diag_rows = self.out_map[::self.d_a + 1, :self.d_b ** 2]
+            self.n = self.d_a + 1
+        else:
+            self.diag_rows = None
+            self.n = self.d_a ** 2 + 2
         self.n_params = 2 * self.n * self.d_a * self.d_r
         per_row = self.n * (self.d_b ** 2 + len(power.kraus) ** 2) * 16
         # rows per objective call; optimize.maximize says where it binds
@@ -124,13 +144,25 @@ class _EnsembleProblem:
         return raw[:, :, 0] + 1j * raw[:, :, 1]
 
     def _outputs(self, thetas: np.ndarray):
-        """A_x, sum_y |A_y|^2, p_x, N(X_x), N^c(X_x) and sum_x N(X_x) for a parameter batch."""
+        """A_x, sum_y |A_y|^2, p_x, N(X_x), N^c(X_x) and the average output for a batch.
+
+        The average output is sum_x N(X_x), or N(Delta(sum_x X_x)) for a
+        phase-covariant channel: the diagonal of sum_x X_x weighs the rows
+        N(|j><j|).  It is a broadcast sum, not a product, so that no row's
+        value depends on the batch it is evaluated in.
+        """
         a = self._matrices(thetas)
-        mass = (a.real ** 2 + a.imag ** 2).sum(axis=(2, 3))
+        sq = a.real ** 2 + a.imag ** 2
+        mass = sq.sum(axis=(2, 3))
         total = mass.sum(axis=1, keepdims=True)
         sigma_b, env = _branch_outputs(self.out_map, self.d_b,
                                        a @ a.conj().swapaxes(-1, -2) / total[..., None, None])
-        return a, total, mass / total, sigma_b, env, sigma_b.sum(axis=-3)
+        if self.diag_rows is None:
+            avg_b = sigma_b.sum(axis=-3)
+        else:
+            diag = sq.sum(axis=(1, 3)) / total
+            avg_b = (diag[..., None] * self.diag_rows).sum(axis=-2).reshape(-1, self.d_b, self.d_b)
+        return a, total, mass / total, sigma_b, env, avg_b
 
     def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Block (not per-use) values of (r_q, r_c) for a parameter batch."""
@@ -149,7 +181,9 @@ class _EnsembleProblem:
         h_x = (2t-1) S(sigma_x) - t S(E_x), sigma_x and E_x the normalized
         N(X_x) and N^c(X_x).  The entropy gradients of the outputs go back to
         X_x through the transpose of the output map, which applies N^dagger
-        and N^c^dagger at once; d Tr X_x adds h_x I.  Through
+        and N^c^dagger at once; d Tr X_x adds h_x I.  With the dephased
+        average the (1-t) G_avg term is instead diag N^dagger(G_avg), the
+        same for every branch, since Delta is self-adjoint.  Through
         X = A A^dagger / sum |A|^2 the gradient Gamma_x in X_x becomes
         2 (Gamma_x - c I) A_x / sum |A|^2 with c = sum_x Tr[Gamma_x X_x].
         """
@@ -161,24 +195,44 @@ class _EnsembleProblem:
 
         # Tr[Gamma dX] pulled back from vec(Gamma^T) of both outputs
         pw = probs[..., None, None]
-        gam_b = (1.0 - t) * g_avg[:, None] + (2.0 * t - 1.0) * pw * g_b
+        gam_b = (2.0 * t - 1.0) * pw * g_b
+        if self.diag_rows is None:
+            gam_b = (1.0 - t) * g_avg[:, None] + gam_b
         gam_e = (-t) * pw * g_e
         cot = np.concatenate([gam_b.swapaxes(-1, -2).reshape(b, n, -1),
                               gam_e.swapaxes(-1, -2).reshape(b, n, -1)], axis=-1)
         gam = (cot @ self.out_map.T).reshape(b, n, d_a, d_a).swapaxes(-1, -2)
         h = (2.0 * t - 1.0) * s_b - t * s_e
         g_a = gam @ a + h[..., None, None] * a
+        if self.diag_rows is not None:
+            # Delta is self-adjoint: every branch gets diag N^dagger(G_avg)
+            avg_diag = (g_avg.swapaxes(-1, -2).reshape(b, 1, -1) * self.diag_rows).sum(axis=-1)
+            g_a += (1.0 - t) * avg_diag.real[:, None, :, None] * a
         total = total[..., None, None]
         c = (a.conj() * g_a).real.sum(axis=(1, 2, 3), keepdims=True) / total
         g_a = 2.0 * (g_a - c * a) / total
         return np.stack([g_a.real, g_a.imag], axis=2).reshape(b, -1)
 
     def ensemble_of(self, theta: np.ndarray) -> CQEnsemble:
+        """The witness: the n branches, or for a phase-covariant channel their twirl.
+
+        The twirl holds (Z^k tensor 1) psi_x with weight p_x / D for every
+        branch x and k = 0..D-1, Z = diag(exp(2 pi i j / D)), D = d_A.  Its
+        average input is Delta(rho_bar) whatever the channel, so it
+        re-evaluates to the rates the search reads.
+        """
         vecs = self._matrices(theta[None, :])[0].reshape(self.n, -1)
         mass = np.linalg.norm(vecs, axis=1) ** 2
         vecs[mass == 0, 0] = 1.0  # a branch of weight 0 still needs a unit vector
-        return CQEnsemble(self.d_a, self.d_r, mass / mass.sum(),
-                          vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
+        probs = mass / mass.sum()
+        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        if self.diag_rows is not None:
+            d = self.d_a
+            phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
+            vecs = (phases[None, :, :, None] * vecs.reshape(self.n, 1, d, self.d_r)).reshape(
+                self.n * d, -1)
+            probs = np.repeat(probs / d, d)
+        return CQEnsemble(self.d_a, self.d_r, probs, vecs)
 
     def pack(self, weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Parameters with A_x = w_x v_x."""
@@ -218,11 +272,14 @@ class _EnsembleProblem:
 def evaluate_point(ensemble: CQEnsemble, channel: QuantumChannel, l: int = 1) -> tuple[float, float]:
     """Per-use rates (r_q, r_c) of an ensemble on A^l; r_q clamped at zero.
 
-    The ensemble size must not exceed dim(A^l)^2 + 2, matching the bound
-    used by the optimizer.
+    With D = dim(A^l), the ensemble size must not exceed the larger of
+    D^2 + 2, the optimizer's branch count and Caratheodory's bound for any
+    ensemble, and D (D + 1), the size of its twirled witness for a
+    phase-covariant channel.
     """
     power = channel_power(channel, l)
-    bound = power.dim_in ** 2 + 2
+    d = power.dim_in
+    bound = max(d ** 2 + 2, d * (d + 1))
     if ensemble.size > bound:
         raise ValidationError(
             f"ensemble has {ensemble.size} entries, bound for this level is {bound}")

@@ -34,7 +34,7 @@ from .errors import ResourceLimitError, ValidationError, _positive_int
 from .linalg import entropy_from_probs, hermitize
 from .sampling import seed_rng
 from .spaces import TensorSpace
-from .states import HERMITICITY_TOL, DensityMatrix, block_form
+from .states import EIGENVALUE_FLOOR, HERMITICITY_TOL, DensityMatrix, block_form
 
 PROB_TOL = 1e-12
 ENUMERATION_LIMIT = 20
@@ -291,12 +291,15 @@ def _enumerate(cond: np.ndarray, xs: np.ndarray, delta: float) -> Iterator[tuple
     yield from rec(0, ())
 
 
-def _descending_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _descending_eigensystem(matrix: np.ndarray, clip: bool) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(hermitize(matrix))
     order = np.argsort(w)[::-1]
-    w = np.clip(w[order], 0.0, None)
+    w = w[order]
     if not w[0] > 0:
         raise ValidationError("a branch state needs a positive eigenvalue")
+    if not clip and w[-1] < EIGENVALUE_FLOOR:
+        raise ValidationError(f"a branch state has negative eigenvalue {w[-1]:.3e}")
+    w = np.clip(w, 0.0, None)
     return w / w.sum(), v[:, order]
 
 
@@ -329,8 +332,16 @@ def typical_projector(rho, n: int, delta: float) -> np.ndarray:
 
 
 def conditional_typical_projector(branch_states: Sequence, xn: Sequence[int],
-                                  delta: float) -> np.ndarray:
-    """Projector from conditionally typical eigenbasis sequences along xn."""
+                                  delta: float, *, _trusted_marginals: bool = False) -> np.ndarray:
+    """Projector from conditionally typical eigenbasis sequences along xn.
+
+    Branch states must be positive semidefinite up to ``EIGENVALUE_FLOOR``.
+    ``_trusted_marginals`` is internal, not a validation option: it is set
+    only for :func:`project_and_renormalize`'s branch marginals, whose
+    negative eigenvalues are clipped instead.  A valid source's block of
+    weight 1e-13 divided by its weight can be as far from PSD as
+    diag(101, -100).
+    """
     mats = [s.matrix if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex)
             for s in branch_states]
     for m in mats:
@@ -346,7 +357,7 @@ def conditional_typical_projector(branch_states: Sequence, xn: Sequence[int],
         raise ResourceLimitError(
             f"projector needs n * log2(dim) <= {PROJECTOR_LOG2_LIMIT}, "
             f"got {n * math.log2(dim):.1f}")
-    eig = [_descending_eigensystem(m) for m in mats]
+    eig = [_descending_eigensystem(m, _trusted_marginals) for m in mats]
     cond = np.stack([w for w, _ in eig], axis=0)
     seqs = _enumerate(cond, xs, float(delta))
     bases = [eig[int(x)][1] for x in xs]
@@ -408,7 +419,8 @@ def project_and_renormalize(omega: DensityMatrix, m: int, delta: float) -> Proje
         legs = joint.reshape((d_q, d_r) * (2 * m))
         legs = legs.transpose(perm + [2 * m + i for i in perm])
         joint = legs.reshape(dq_m * dr_m, dq_m * dr_m)
-        proj = conditional_typical_projector(q_marginals, list(string), delta)
+        proj = conditional_typical_projector(q_marginals, list(string), delta,
+                                             _trusted_marginals=True)
         big = np.kron(proj, np.eye(dr_m))
         cut = big @ joint @ big
         mass = float(np.trace(cut).real)

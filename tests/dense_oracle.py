@@ -45,8 +45,9 @@ def dense_projection(omega: DensityMatrix, m: int, delta: float) -> np.ndarray:
             joint = np.kron(joint, branches[x])
         legs = joint.reshape((d_q, d_r) * (2 * m))
         joint = legs.transpose(perm + [2 * m + i for i in perm]).reshape(dq_m * dr_m, -1)
-        big = np.kron(conditional_typical_projector(q_marginals, list(string), delta),
-                      np.eye(dr_m))
+        proj = conditional_typical_projector(q_marginals, list(string), delta,
+                                             _trusted_marginals=True)
+        big = np.kron(proj, np.eye(dr_m))
         cut = big @ joint @ big
         mass = float(np.trace(cut).real)
         p_string = float(np.prod(probs[list(string)]))

@@ -8,7 +8,7 @@ from qcap.errors import DimensionMismatchError, ValidationError
 from qcap.information import (CQEnsemble, _branch_outputs, _output_map,
                               coherent_information, data_processing_gap,
                               generalized_information, holevo_information)
-from qcap.linalg import batched_entropy, binary_entropy
+from qcap.linalg import batched_entropy, binary_entropy, entropy_of_matrix
 from qcap.sampling import random_channel, random_pure, random_state, seed_rng
 from qcap.spaces import TensorSpace
 from qcap.states import (DensityMatrix, PureState, entropy, partial_trace,
@@ -84,6 +84,17 @@ def test_holevo_list_form_matches_ensemble_form():
                   for p, v in zip(probs, vecs)]
         assert holevo_information(ens, chan) == pytest.approx(
             holevo_information(listed, chan), abs=1e-12)
+
+
+def test_holevo_list_form_feeds_the_whole_state_to_the_channel():
+    # a (2, 2) Bell state is one input of dimension 4, not a qubit and a spectator
+    bell = maximally_entangled(TensorSpace.of(("A", 2), ("R", 2))).density()
+    assert holevo_information([(1.0, bell)], identity_channel(4)) == pytest.approx(0.0, abs=1e-12)
+    product = DensityMatrix(TensorSpace.of(("A", 2), ("B", 2)), np.diag([1.0, 0, 0, 0]))
+    listed = [(0.5, bell), (0.5, product)]
+    chi = holevo_information(listed, identity_channel(4))
+    avg = 0.5 * (bell.matrix + product.matrix)
+    assert chi == pytest.approx(entropy_of_matrix(avg), abs=1e-12)
 
 
 def test_holevo_list_form_validation():

@@ -3,18 +3,20 @@ import numpy as np
 import pytest
 
 from qcap import tradeoff
-from qcap.channels import (QuantumChannel, channel_from_name, channel_power,
-                           dephasing_channel, identity_channel)
+from qcap.channels import (QuantumChannel, channel_from_name, channel_power, compose,
+                           dephasing_channel, identity_channel, tensor_channels)
 from qcap.errors import NumericalFailureError, ValidationError
 from qcap.information import CQEnsemble, generalized_information
+from qcap.io import channel_from_json, channel_to_json
 from qcap.linalg import batched_entropy, binary_entropy, entropy_and_gradient
-from qcap.sampling import random_state, seed_rng
+from qcap.sampling import random_channel, random_state, seed_rng
 from qcap.states import maximally_entangled
 from qcap.spaces import TensorSpace
 from qcap.tradeoff import (CurvePoint, OptimizerOptions, _EnsembleProblem, compute_curve,
                            default_t_grid, evaluate_point, optimize_scalarized,
                            validate_envelope)
 
+from closed_forms import ENDPOINTS, dephasing_curve, golden_max
 from gradient_oracle import central_differences
 
 SMALL = OptimizerOptions(restarts=3, max_iters=40, seed=0)
@@ -226,9 +228,13 @@ FAMILIES = ("identity(2)", "dephasing(0.1)", "depolarizing(0.1)", "erasure(0.2)"
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_exact_gradient_matches_central_differences(level):
-    for name in FAMILIES:
-        problem = _EnsembleProblem(channel_from_name(name), level)
+    named = [channel_from_name(name) for name in FAMILIES]
+    # the same Kraus operators unflagged run the d_A^2 + 2 branch gradient
+    raw = [QuantumChannel(c.dim_in, c.dim_out, c.kraus) for c in named]
+    for name, channel in zip(FAMILIES * 2, named + raw):
+        problem = _EnsembleProblem(channel, level)
         rng = seed_rng(level, "gradient-oracle", name)
+        case = (name, channel.phase_covariant)
         thetas = np.stack([problem.random_start(rng) for _ in range(2)])
         canonical = np.stack(problem.canonical_starts(rng))
         # the objective is linear in t, so two difference gradients serve every t
@@ -237,10 +243,10 @@ def test_exact_gradient_matches_central_differences(level):
         for t in (0.0, 0.3, 0.5, 1.0):
             exact = problem.gradient(thetas, t)
             oracle = t * r_q + (1.0 - t) * r_c
-            assert np.abs(exact[0] - oracle).max() <= 1e-6 * np.abs(oracle).max(), (name, t)
+            assert np.abs(exact[0] - oracle).max() <= 1e-6 * np.abs(oracle).max(), (case, t)
             rows = np.concatenate([problem.gradient(th[None], t) for th in thetas])
-            assert np.array_equal(exact, rows), (name, t)
-            assert np.isfinite(problem.gradient(canonical, t)).all(), (name, t)
+            assert np.array_equal(exact, rows), (case, t)
+            assert np.isfinite(problem.gradient(canonical, t)).all(), (case, t)
 
 
 def dephrasure(p: float, q: float) -> QuantumChannel:
@@ -272,3 +278,71 @@ def test_optimizer_options_are_validated():
         with pytest.raises(ValidationError):
             OptimizerOptions(**kwargs)
     assert OptimizerOptions(restarts=0, max_iters=1).restarts == 0
+
+
+@pytest.mark.parametrize("name", sorted(ENDPOINTS))
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_level_one_endpoints_match_closed_forms(name, t):
+    c_q, c_c = ENDPOINTS[name]
+    for seed in range(5):
+        res = optimize_scalarized(channel_from_name(name), 1, t,
+                                  OptimizerOptions(restarts=4, max_iters=50, seed=seed))
+        assert res.value == pytest.approx(c_q if t == 1.0 else c_c, abs=1e-8), seed
+
+
+def test_dephasing_interior_weight_matches_closed_form_curve():
+    # t = 0.64 supports the dephasing(0.1) frontier at an interior point
+    t = 0.64
+    exact = golden_max(lambda nu: (1 - t) * dephasing_curve(0.1, nu)[1]
+                       + t * dephasing_curve(0.1, nu)[0], 0.0, 0.5)
+    for seed in range(5):
+        res = optimize_scalarized(dephasing_channel(0.1), 1, t,
+                                  OptimizerOptions(restarts=4, max_iters=50, seed=seed))
+        assert exact - 1e-8 <= res.value <= exact + 1e-12, seed
+
+
+def test_phase_covariant_flag_follows_construction():
+    for name in FAMILIES:
+        channel = channel_from_name(name)
+        assert channel.phase_covariant and channel_power(channel, 3).phase_covariant
+        assert not QuantumChannel(channel.dim_in, channel.dim_out, channel.kraus).phase_covariant
+        assert not compose(channel, identity_channel(channel.dim_in)).phase_covariant
+        assert not channel_from_json(channel_to_json(channel)).phase_covariant
+        assert not tensor_channels(channel, random_channel(2, 2, 2, 0)).phase_covariant
+    assert _EnsembleProblem(dephasing_channel(0.1), 2).n == 5
+    assert _EnsembleProblem(dephrasure(0.1, 0.2), 2).n == 18
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("name", FAMILIES)
+def test_phase_covariant_search_is_no_worse_and_witnessed(name, level):
+    """d_A + 1 branches against the dephased average lose nothing against
+    d_A^2 + 2 branches against the full one, and the twirled witness of
+    d_A (d_A + 1) branches re-evaluates to the rates the search read."""
+    channel = channel_from_name(name)
+    raw = QuantumChannel(channel.dim_in, channel.dim_out, channel.kraus)
+    problem = _EnsembleProblem(channel, level)
+    d = problem.d_a
+    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for seed in range(5):
+            opts = OptimizerOptions(restarts=4, max_iters=60, seed=seed)
+            res = optimize_scalarized(channel, level, t, opts)
+            assert res.value >= optimize_scalarized(raw, level, t, opts).value - 1e-9, (t, seed)
+            assert res.ensemble.size == d * (d + 1)
+            # res.r_q and res.r_c are evaluate_point's re-evaluation of the witness
+            r_q, r_c = problem.rates(res.params[None])
+            assert (res.r_q, res.r_c) == pytest.approx(
+                (max(r_q[0], 0.0) / level, r_c[0] / level), abs=1e-9), (t, seed)
+
+
+def test_level_three_phase_covariant_solve_is_witnessed():
+    channel = channel_from_name("amplitude_damping(0.3)")
+    opts = OptimizerOptions(restarts=0, max_iters=20)
+    res = optimize_scalarized(channel, 3, 0.5, opts)
+    problem = _EnsembleProblem(channel, 3)
+    assert problem.n == 9 and res.ensemble.size == 72
+    r_q, r_c = problem.rates(res.params[None])
+    assert (res.r_q, res.r_c) == pytest.approx((max(r_q[0], 0.0) / 3, r_c[0] / 3), abs=1e-9)
+    # 66 branches against the full average, at the same budget, reach no more
+    raw = QuantumChannel(channel.dim_in, channel.dim_out, channel.kraus)
+    assert res.value >= optimize_scalarized(raw, 3, 0.5, opts).value - 1e-9

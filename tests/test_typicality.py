@@ -401,6 +401,15 @@ def test_projector_rejects_branch_without_a_spectrum(branch, message):
         conditional_typical_projector([np.diag([0.8, 0.2]), branch], [1, 0], 0.3)
 
 
+def test_projector_rejects_an_indefinite_branch_state():
+    # clipping diag(1, -0.5) would project it as the pure state |0><0|
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        typical_projector(np.diag([1.0, -0.5]), 2, 0.3)
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        conditional_typical_projector([np.diag([0.8, 0.2]), np.diag([1.0, -0.5])], [1, 0], 0.3)
+    assert typical_projector(np.diag([1.0, -1e-12]), 2, 0.3).shape == (4, 4)
+
+
 def test_spec_with_roundoff_negatives():
     # a spec that validates also passes the conditional functions it delegates to
     spec = TypicalSpec([0.5 + 0.5e-12, 0.5, -0.4e-12, -0.4e-12], 4, 0.3)
