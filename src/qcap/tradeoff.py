@@ -22,15 +22,19 @@ re-evaluating a witness reproduces the recorded rates: the optimizer and
 which takes rho_x to N(rho_x) and to the complementary output
 N^c(rho_x)_jk = Tr[K_j rho_x K_k^dagger], whose entropy is S((N tensor id)(psi_x)).
 
-A search uses n = D^2 + 2 branches, D = d_A^l.  For a channel flagged
-``phase_covariant`` it uses n = D + 1 and reads the average output as
-N(Delta(rho_bar)), Delta the dephasing in the product basis: twirling an
-ensemble by Z^k = diag(exp(2 pi i j k / D)) keeps every branch term and
-dephases the average, which can only raise S(N(rho_bar)), and the objective
-then depends on each branch only through (diag rho_x, its branch term), a
-point in D dimensions, so Caratheodory leaves D + 1 branches (Wilde,
+A search uses n branches and reads the average output as N(P(rho_bar)),
+rho_bar = sum_x p_x rho_x, through one fixed map: the output map's N block
+with every row that P drops set to zero.  In general P is the identity and
+n = D^2 + 2, D = d_A^l, Caratheodory's bound.  For a phase-covariant channel
+P is the dephasing Delta in the product basis and n = D + 1: twirling an
+ensemble by Z^k = diag(exp(2 pi i j k / D)), k = 0..D-1, keeps every branch
+term and dephases the average, which can only raise S(N(rho_bar)), and the
+objective then depends on each branch only through (diag rho_x, its branch
+term), a point in D dimensions, so Caratheodory leaves D + 1 branches (Wilde,
 *Quantum Information Theory*, 2nd ed., on covariant channels).  The witness
-of such a search is that twirl, with D (D + 1) branches.
+is the twirl of the n branches by Z^k for k below the twirl order, D with
+Delta and 1 (no twirl) with the identity, so its average input is
+P(rho_bar) and it re-evaluates to the rates the search read.
 """
 from __future__ import annotations
 
@@ -114,10 +118,12 @@ class _EnsembleProblem:
     A parameter row holds one complex d_A x d_R matrix A_x per branch (real
     parts, then imaginary parts).  X_x = A_x A_x^dagger / sum_y |A_y|^2 is the
     weighted branch state p_x rho_x, so p_x = Tr X_x and psi_x = A_x / |A_x|.
-    There are n = d_A^2 + 2 branches and the average output is
-    N(sum_x X_x), or, for a phase-covariant channel, n = d_A + 1 branches and
-    the average output N(Delta(sum_x X_x)); ``ensemble_of`` then returns the
-    twirled witness of d_A (d_A + 1) branches.
+    The average output is N(P(sum_x X_x)), read through ``avg_map``, which
+    takes row-major vec(sum_x X_x) to vec N(P(sum_x X_x)).  P, the branch
+    count n and the twirl order are set once from the channel: the identity,
+    d_A^2 + 2 and 1, or for a phase-covariant channel the dephasing Delta,
+    d_A + 1 and d_A.  ``ensemble_of`` twirls the n branches by Z^k for k
+    below the twirl order.
     """
 
     def __init__(self, channel: QuantumChannel, l: int):
@@ -128,12 +134,11 @@ class _EnsembleProblem:
         self.d_b = power.dim_out
         self.d_r = power.dim_in
         if power.phase_covariant:
-            # vec N(|j><j|): the diagonal rows of the output map's B block
-            self.diag_rows = self.out_map[::self.d_a + 1, :self.d_b ** 2]
-            self.n = self.d_a + 1
+            # Delta keeps the d_A diagonal entries of vec(rho)
+            self.n, self.twirl_order, kept = self.d_a + 1, self.d_a, np.eye(self.d_a).reshape(-1)
         else:
-            self.diag_rows = None
-            self.n = self.d_a ** 2 + 2
+            self.n, self.twirl_order, kept = self.d_a ** 2 + 2, 1, np.ones(self.d_a ** 2)
+        self.avg_map = self.out_map[:, :self.d_b ** 2] * kept[:, None]
         self.n_params = 2 * self.n * self.d_a * self.d_r
         per_row = self.n * (self.d_b ** 2 + len(power.kraus) ** 2) * 16
         # rows per objective call; optimize.maximize says where it binds
@@ -144,24 +149,19 @@ class _EnsembleProblem:
         return raw[:, :, 0] + 1j * raw[:, :, 1]
 
     def _outputs(self, thetas: np.ndarray):
-        """A_x, sum_y |A_y|^2, p_x, N(X_x), N^c(X_x) and the average output for a batch.
+        """A_x, sum_y |A_y|^2, p_x, N(X_x), N^c(X_x) and N(P(sum_x X_x)) for a batch.
 
-        The average output is sum_x N(X_x), or N(Delta(sum_x X_x)) for a
-        phase-covariant channel: the diagonal of sum_x X_x weighs the rows
-        N(|j><j|).  It is a broadcast sum, not a product, so that no row's
-        value depends on the batch it is evaluated in.
+        The average output is a broadcast sum over ``avg_map``, not a
+        product, so that no row's value depends on the batch it is
+        evaluated in.
         """
         a = self._matrices(thetas)
-        sq = a.real ** 2 + a.imag ** 2
-        mass = sq.sum(axis=(2, 3))
+        mass = (a.real ** 2 + a.imag ** 2).sum(axis=(2, 3))
         total = mass.sum(axis=1, keepdims=True)
-        sigma_b, env = _branch_outputs(self.out_map, self.d_b,
-                                       a @ a.conj().swapaxes(-1, -2) / total[..., None, None])
-        if self.diag_rows is None:
-            avg_b = sigma_b.sum(axis=-3)
-        else:
-            diag = sq.sum(axis=(1, 3)) / total
-            avg_b = (diag[..., None] * self.diag_rows).sum(axis=-2).reshape(-1, self.d_b, self.d_b)
+        x = a @ a.conj().swapaxes(-1, -2) / total[..., None, None]
+        sigma_b, env = _branch_outputs(self.out_map, self.d_b, x)
+        x_bar = x.sum(axis=1).reshape(-1, self.d_a ** 2, 1)
+        avg_b = (x_bar * self.avg_map).sum(axis=-2).reshape(-1, self.d_b, self.d_b)
         return a, total, mass / total, sigma_b, env, avg_b
 
     def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,13 +177,13 @@ class _EnsembleProblem:
     def gradient(self, thetas: np.ndarray, t: float) -> np.ndarray:
         """Exact gradient of (1 - t) r_c + t r_q (block values) for a batch (B, P).
 
-        The objective is (1-t) S(sum_x N(X_x)) + sum_x Tr X_x h_x with
+        The objective is (1-t) S(N(P(sum_x X_x))) + sum_x Tr X_x h_x with
         h_x = (2t-1) S(sigma_x) - t S(E_x), sigma_x and E_x the normalized
-        N(X_x) and N^c(X_x).  The entropy gradients of the outputs go back to
-        X_x through the transpose of the output map, which applies N^dagger
-        and N^c^dagger at once; d Tr X_x adds h_x I.  With the dephased
-        average the (1-t) G_avg term is instead diag N^dagger(G_avg), the
-        same for every branch, since Delta is self-adjoint.  Through
+        N(X_x) and N^c(X_x).  The entropy gradients of the branch outputs go
+        back to X_x through the transpose of the output map, which applies
+        N^dagger and N^c^dagger at once; d Tr X_x adds h_x I.  P is
+        self-adjoint, so the average adds (1-t) P N^dagger(G_avg), pulled
+        back through ``avg_map``, to every branch.  Through
         X = A A^dagger / sum |A|^2 the gradient Gamma_x in X_x becomes
         2 (Gamma_x - c I) A_x / sum |A|^2 with c = sum_x Tr[Gamma_x X_x].
         """
@@ -193,46 +193,38 @@ class _EnsembleProblem:
         s_e, g_e = entropy_and_gradient(env)
         _, g_avg = entropy_and_gradient(avg_b)
 
-        # Tr[Gamma dX] pulled back from vec(Gamma^T) of both outputs
+        # Tr[Gamma dX] pulled back from vec(Gamma^T) of every output
         pw = probs[..., None, None]
-        gam_b = (2.0 * t - 1.0) * pw * g_b
-        if self.diag_rows is None:
-            gam_b = (1.0 - t) * g_avg[:, None] + gam_b
-        gam_e = (-t) * pw * g_e
-        cot = np.concatenate([gam_b.swapaxes(-1, -2).reshape(b, n, -1),
-                              gam_e.swapaxes(-1, -2).reshape(b, n, -1)], axis=-1)
-        gam = (cot @ self.out_map.T).reshape(b, n, d_a, d_a).swapaxes(-1, -2)
+        cot = np.concatenate([((2.0 * t - 1.0) * pw * g_b).swapaxes(-1, -2).reshape(b, n, -1),
+                              ((-t) * pw * g_e).swapaxes(-1, -2).reshape(b, n, -1)], axis=-1)
+        avg = (g_avg.swapaxes(-1, -2).reshape(b, 1, -1) * self.avg_map).sum(axis=-1)
+        gam = (cot @ self.out_map.T + (1.0 - t) * avg[:, None]).reshape(
+            b, n, d_a, d_a).swapaxes(-1, -2)
         h = (2.0 * t - 1.0) * s_b - t * s_e
         g_a = gam @ a + h[..., None, None] * a
-        if self.diag_rows is not None:
-            # Delta is self-adjoint: every branch gets diag N^dagger(G_avg)
-            avg_diag = (g_avg.swapaxes(-1, -2).reshape(b, 1, -1) * self.diag_rows).sum(axis=-1)
-            g_a += (1.0 - t) * avg_diag.real[:, None, :, None] * a
         total = total[..., None, None]
         c = (a.conj() * g_a).real.sum(axis=(1, 2, 3), keepdims=True) / total
         g_a = 2.0 * (g_a - c * a) / total
         return np.stack([g_a.real, g_a.imag], axis=2).reshape(b, -1)
 
     def ensemble_of(self, theta: np.ndarray) -> CQEnsemble:
-        """The witness: the n branches, or for a phase-covariant channel their twirl.
+        """The witness: the n branches twirled by Z^j for j below the twirl order k.
 
-        The twirl holds (Z^k tensor 1) psi_x with weight p_x / D for every
-        branch x and k = 0..D-1, Z = diag(exp(2 pi i j / D)), D = d_A.  Its
-        average input is Delta(rho_bar) whatever the channel, so it
-        re-evaluates to the rates the search reads.
+        It holds (Z^j tensor 1) psi_x with weight p_x / k for every branch x
+        and j = 0..k-1, Z = diag(exp(2 pi i m / d_A)).  With k = d_A its
+        average input is Delta(rho_bar) whatever the channel; k = 1 leaves
+        the n branches as they are.
         """
         vecs = self._matrices(theta[None, :])[0].reshape(self.n, -1)
         mass = np.linalg.norm(vecs, axis=1) ** 2
         vecs[mass == 0, 0] = 1.0  # a branch of weight 0 still needs a unit vector
         probs = mass / mass.sum()
         vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-        if self.diag_rows is not None:
-            d = self.d_a
-            phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
-            vecs = (phases[None, :, :, None] * vecs.reshape(self.n, 1, d, self.d_r)).reshape(
-                self.n * d, -1)
-            probs = np.repeat(probs / d, d)
-        return CQEnsemble(self.d_a, self.d_r, probs, vecs)
+        d, k = self.d_a, self.twirl_order
+        phases = np.exp(2j * np.pi * np.outer(np.arange(k), np.arange(d)) / d)
+        vecs = (phases[None, :, :, None] * vecs.reshape(self.n, 1, d, self.d_r)).reshape(
+            self.n * k, -1)
+        return CQEnsemble(self.d_a, self.d_r, np.repeat(probs / k, k), vecs)
 
     def pack(self, weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Parameters with A_x = w_x v_x."""
@@ -246,9 +238,9 @@ class _EnsembleProblem:
         rand /= np.linalg.norm(rand, axis=2, keepdims=True)
 
         vecs = rand[0].copy()
-        for i in range(min(d_a, n)):
+        for i in range(d_a):
             v = np.zeros(d_a * d_r, dtype=complex)
-            v[(i % d_a) * d_r] = 1.0
+            v[i * d_r] = 1.0
             vecs[i] = v
         weights = np.where(np.arange(n) < d_a, 1.0, 0.05)
         classical = self.pack(weights, vecs)

@@ -240,6 +240,9 @@ def conditional_dimension_constant(cond) -> float:
 def conditional_dimension_bound(probs, cond, n: int, delta: float) -> float:
     """log2 of the bound 2^(n [S(Y|X) + c delta]); needs a typical base sequence."""
     p = np.asarray(probs, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValidationError("probability vector must be 1-dimensional and non-empty")
+    p = _validate_conditional(p[None])[0]
     m = _validate_conditional(cond)
     if p.size != m.shape[0]:
         raise ValidationError("marginal and conditional alphabet sizes differ")

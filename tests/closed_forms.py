@@ -18,6 +18,10 @@ Holevo capacity of one use of the channel.
 The dephasing(p) trade-off curve is single-letter (a Hadamard channel;
 Devetak & Shor, CMP 256, 2005): for nu in [0, 1/2]
 r_c = 1 - h(nu) and r_q = h(nu) - h(1/2 + 1/2 sqrt((1-2p)^2 + 4p(1-p)(1-2nu)^2)).
+Along nu, r_q rises from 0 to 1 - h(p) and r_c falls from 1 to 0, so a point
+of the curve with a given r_q, or on a given ray r_c = s r_q, is found by
+bisection on nu.  For p = 0.1 the slope-1 ray crosses it at
+c_g = r_q + r_c = 0.702493359.
 """
 from __future__ import annotations
 
@@ -73,6 +77,46 @@ def dephasing_curve(p: float, nu):
     nu = np.asarray(nu, dtype=float)
     root = np.sqrt((1.0 - 2.0 * p) ** 2 + 4.0 * p * (1.0 - p) * (1.0 - 2.0 * nu) ** 2)
     return h2(nu) - h2(0.5 + 0.5 * root), 1.0 - h2(nu)
+
+
+def _decreasing_root(f) -> float:
+    """The nu in [0, 1/2] where a decreasing f changes sign, to machine precision."""
+    lo, hi = 0.0, 0.5
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def dephasing_slope_one_cg(p: float) -> float:
+    """c_g = r_q + r_c where the ray r_c = r_q meets the dephasing(p) curve."""
+    def above(nu):
+        r_q, r_c = dephasing_curve(p, nu)
+        return r_c - r_q
+
+    r_q, r_c = dephasing_curve(p, _decreasing_root(above))
+    return float(r_q + r_c)
+
+
+def dephasing_r_c(p: float, r_q: float) -> float:
+    """r_c of the dephasing(p) curve at quantum rate r_q; 0 past 1 - h(p)."""
+    nu = _decreasing_root(lambda nu: r_q - dephasing_curve(p, nu)[0])
+    return float(dephasing_curve(p, nu)[1])
+
+
+def frontier_gap(p: float, points, c_q: float, c_c: float, samples: int = 4001) -> float:
+    """Largest distance from the dephasing(p) curve down to an envelope.
+
+    ``points`` are the envelope vertices as (r_q, r_c) pairs, ascending r_q.
+    Inside [0, c_q] the distance is vertical; a computed endpoint short of
+    the exact one counts by its own shortfall.
+    """
+    xs, ys = np.array(points, dtype=float).T
+    r_q, r_c = dephasing_curve(p, np.linspace(0.0, 0.5, samples))
+    inside = r_q <= c_q
+    vertical = r_c[inside] - np.interp(r_q[inside], xs, ys)
+    worst = max(float(np.max(vertical, initial=0.0)), 1.0 - float(h2(p)) - c_q, 1.0 - c_c)
+    return max(worst, 0.0)
 
 
 ENDPOINTS = {

@@ -271,6 +271,16 @@ def test_cli_kid_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+def test_cli_output_to_missing_directory_is_invalid_input(tmp_path, capsys):
+    path = write_state(tmp_path / "bell.json", bell_state())
+    out = tmp_path / "missing" / "kid.json"
+    assert main(["kid", "--state", path, "--system", "A", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
+    with pytest.raises(ValidationError, match="cannot write"):
+        qio.save_text(str(out), "{}\n")
+
+
 def test_cli_kid_bad_system_label(tmp_path, capsys):
     path = write_state(tmp_path / "bell.json", bell_state())
     assert main(["kid", "--state", path, "--system", "Z"]) == 2

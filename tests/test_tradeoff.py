@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from qcap import tradeoff
+from qcap.capacity import Slope, intersect
 from qcap.channels import (QuantumChannel, channel_from_name, channel_power, compose,
                            dephasing_channel, identity_channel, tensor_channels)
 from qcap.errors import NumericalFailureError, ValidationError
@@ -16,7 +17,8 @@ from qcap.tradeoff import (CurvePoint, OptimizerOptions, _EnsembleProblem, compu
                            default_t_grid, evaluate_point, optimize_scalarized,
                            validate_envelope)
 
-from closed_forms import ENDPOINTS, dephasing_curve, golden_max
+from closed_forms import (ENDPOINTS, dephasing_curve, dephasing_r_c,
+                          dephasing_slope_one_cg, frontier_gap, golden_max)
 from gradient_oracle import central_differences
 
 SMALL = OptimizerOptions(restarts=3, max_iters=40, seed=0)
@@ -301,6 +303,24 @@ def test_dephasing_interior_weight_matches_closed_form_curve():
         assert exact - 1e-8 <= res.value <= exact + 1e-12, seed
 
 
+def test_dephasing_curve_stays_inside_closed_form_frontier():
+    """The 11-weight level-1 dephasing(0.1) curve: every vertex inside the exact
+    region, the grid's frontier gap, and the slope-1 c_g from below."""
+    exact_cg = dephasing_slope_one_cg(0.1)
+    assert exact_cg == pytest.approx(0.702493359, abs=1e-9)
+    c_q = ENDPOINTS["dephasing(0.1)"][0]
+    for seed in range(5):
+        curve = compute_curve(channel_from_name("dephasing(0.1)"), 1, default_t_grid(11),
+                              OptimizerOptions(restarts=4, max_iters=50, seed=seed))
+        for p in curve.points:
+            assert p.r_q <= c_q + 1e-9 and p.r_c <= dephasing_r_c(0.1, p.r_q) + 1e-9, seed
+        gap = frontier_gap(0.1, [(p.r_q, p.r_c) for p in curve.points],
+                           curve.c_q_endpoint, curve.c_c_endpoint)
+        assert gap <= 6e-3, seed
+        c_g = sum(intersect(curve, Slope(1.0)))
+        assert exact_cg - 2e-3 <= c_g <= exact_cg + 1e-9, seed
+
+
 def test_phase_covariant_flag_follows_construction():
     for name in FAMILIES:
         channel = channel_from_name(name)
@@ -322,16 +342,23 @@ def test_phase_covariant_search_is_no_worse_and_witnessed(name, level):
     channel = channel_from_name(name)
     raw = QuantumChannel(channel.dim_in, channel.dim_out, channel.kraus)
     problem = _EnsembleProblem(channel, level)
+    raw_problem = _EnsembleProblem(raw, level)
     d = problem.d_a
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         for seed in range(5):
             opts = OptimizerOptions(restarts=4, max_iters=60, seed=seed)
             res = optimize_scalarized(channel, level, t, opts)
-            assert res.value >= optimize_scalarized(raw, level, t, opts).value - 1e-9, (t, seed)
+            raw_res = optimize_scalarized(raw, level, t, opts)
+            assert res.value >= raw_res.value - 1e-9, (t, seed)
             assert res.ensemble.size == d * (d + 1)
             # res.r_q and res.r_c are evaluate_point's re-evaluation of the witness
             r_q, r_c = problem.rates(res.params[None])
             assert (res.r_q, res.r_c) == pytest.approx(
+                (max(r_q[0], 0.0) / level, r_c[0] / level), abs=1e-9), (t, seed)
+            # the unflagged witness is its d^2 + 2 branches, untwirled
+            assert raw_res.ensemble.size == d * d + 2
+            r_q, r_c = raw_problem.rates(raw_res.params[None])
+            assert (raw_res.r_q, raw_res.r_c) == pytest.approx(
                 (max(r_q[0], 0.0) / level, r_c[0] / level), abs=1e-9), (t, seed)
 
 

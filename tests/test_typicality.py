@@ -367,6 +367,16 @@ def test_conditional_functions_reject_bad_base_or_slack():
             conditional_dimension_bound(marg, cond, n, d)
 
 
+@pytest.mark.parametrize("marg, message", [
+    ([2.0, -1.0], "nonnegative and sum to 1"), ([0.6, 0.6], "nonnegative and sum to 1"),
+    ([np.nan, 1.0], "NaN or infinite"), ([np.inf, 0.0], "NaN or infinite"),
+    ([[0.5, 0.5]], "1-dimensional"), ([], "1-dimensional")])
+def test_conditional_dimension_bound_rejects_bad_marginal(marg, message):
+    cond = np.array([[0.8, 0.2], [0.3, 0.7]])
+    with pytest.raises(ValidationError, match=message):
+        conditional_dimension_bound(marg, cond, 4, 0.1)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_spec_rejects_non_finite(bad):
     with pytest.raises(ValidationError, match="NaN or infinite"):
