@@ -5,7 +5,8 @@ Subcommands: ``info`` (entropies and information rates), ``kid``
 ``capacity`` (generalized-capacity report), and ``verify`` (property
 suites).  All randomness flows from ``--seed``; repeated runs with one
 config produce byte-identical output.  Exit codes: 0 success, 1 failed
-verification, 2 invalid input, 3 numerical failure.
+verification, 2 invalid input (including one too large for memory), 3
+numerical failure.
 """
 from __future__ import annotations
 
@@ -344,6 +345,10 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        # an input too large to allocate is invalid input, like a size guardrail
+        print(f"error: {args.command} input too large for available memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

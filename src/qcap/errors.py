@@ -4,7 +4,8 @@ Validation problems (bad labels, dimension mismatches, malformed input,
 exceeded size guardrails) raise :class:`ValidationError` or one of its
 subclasses.  Iterative routines that fail to converge or to meet a residual
 tolerance raise :class:`NumericalFailureError`.  The command line maps the
-former to exit code 2 and the latter to exit code 3.
+former to exit code 2 and the latter to exit code 3.  It also maps a
+``MemoryError``, an input too large to allocate, to exit code 2.
 """
 from numbers import Integral
 

@@ -3,8 +3,15 @@
 All entropies in the package are base-2.  Eigenvalues below
 ``ENTROPY_CUTOFF`` are treated as zero when computing entropies, and small
 negative eigenvalues produced by roundoff are clamped before use.
+
+The entropy kernels read a 2x2 batch's spectrum in closed form and send
+every larger size to LAPACK; both paths share the clip, normalization and
+cutoff.  :func:`per_size` runs a kernel once per distinct matrix size over
+several batches, so a caller with outputs of one size makes one call.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,9 +46,48 @@ def _spectral_entropy(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return -(safe * np.log2(safe)).sum(axis=-1) + 0.0, w, tot
 
 
+def _eig2(m: np.ndarray):
+    """Closed-form spectrum of the Hermitian parts H of a batch (..., 2, 2).
+
+    Returns the eigenvalues (..., 2), smaller first, and the map from
+    per-eigenvalue coefficients c (..., 2) to c_- P_- + c_+ P_+ over H's
+    eigenprojectors, which is mean(c) I + (c_+ - c_-) / (2 r) (H - mid I)
+    and needs no eigenvectors.  With H = [[a, b], [b*, d]], mid = (a + d) / 2
+    and r = sqrt(((a - d) / 2)^2 + |b|^2), the eigenvalues are mid -+ r.  The
+    smaller one is det H / (mid + r) when mid + r > 0, as in LAPACK's 2x2
+    routines, so a tiny diagonal entry comes out to full relative accuracy;
+    at r = 0, H = mid I and both are mid.
+    """
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    b = 0.5 * (m[..., 0, 1] + np.conj(m[..., 1, 0]))
+    half, mid = 0.5 * (a - d), 0.5 * (a + d)
+    bb = b.real ** 2 + b.imag ** 2
+    r = np.sqrt(half * half + bb)
+    w = np.empty(m.shape[:-1])
+    np.subtract(mid, r, out=w[..., 0])
+    np.add(mid, r, out=w[..., 1])
+    np.divide(a * d - bb, w[..., 1], out=w[..., 0], where=(w[..., 1] > 0) & (r > 0))
+
+    def combine(c: np.ndarray) -> np.ndarray:
+        # r = 0 means H = mid I, so the slope term vanishes
+        slope = np.divide(c[..., 1] - c[..., 0], 2.0 * r, out=np.zeros_like(r), where=r > 0)
+        mean = 0.5 * (c[..., 0] + c[..., 1])
+        g = np.empty(m.shape, dtype=np.result_type(b, slope))
+        g[..., 0, 0] = mean + slope * half
+        g[..., 1, 1] = mean - slope * half
+        g[..., 0, 1] = slope * b
+        g[..., 1, 0] = np.conj(g[..., 0, 1])
+        return g
+
+    return w, combine
+
+
 def batched_entropy(mats: np.ndarray) -> np.ndarray:
     """Von Neumann entropies of a batch of matrices, shape (..., d, d) -> (...)."""
-    return _spectral_entropy(np.linalg.eigvalsh(hermitize(np.asarray(mats))))[0]
+    mats = np.asarray(mats)
+    if mats.shape[-1] == 2:
+        return _spectral_entropy(_eig2(mats)[0])[0]
+    return _spectral_entropy(np.linalg.eigvalsh(hermitize(mats)))[0]
 
 
 def entropy_and_gradient(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -51,10 +97,40 @@ def entropy_and_gradient(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (Daleckii-Krein).  Eigenvalues are floored at ``ENTROPY_CUTOFF`` inside
     the log, so G stays finite on rank-deficient M.
     """
-    w, v = np.linalg.eigh(hermitize(np.asarray(mats)))
+    mats = np.asarray(mats)
+    if mats.shape[-1] == 2:
+        w, combine = _eig2(mats)
+    else:
+        w, v = np.linalg.eigh(hermitize(mats))
+
+        def combine(c: np.ndarray) -> np.ndarray:
+            return (v * c[..., None, :]) @ v.conj().swapaxes(-1, -2)
     s, w, tot = _spectral_entropy(w)
     coef = -(np.log2(np.maximum(w, ENTROPY_CUTOFF)) + s[..., None]) / tot
-    return s, (v * coef[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return s, combine(coef)
+
+
+def per_size(kernel, *batches: np.ndarray) -> list:
+    """``kernel`` on each batch (..., d, d), called once per distinct size d.
+
+    Batches of one size are flattened to (-1, d, d) and concatenated; each
+    output of the kernel (an array, or a tuple of arrays, indexed by matrix
+    first) is split back to every batch's leading shape.  The kernel must act
+    on each matrix alone, so no result depends on the other batches.
+    """
+    results: list = [None] * len(batches)
+    for d in dict.fromkeys(m.shape[-1] for m in batches):
+        group = [i for i, m in enumerate(batches) if m.shape[-1] == d]
+        out = kernel(np.concatenate([batches[i].reshape(-1, d, d) for i in group]))
+        parts = out if isinstance(out, tuple) else (out,)
+        start = 0
+        for i in group:
+            lead = batches[i].shape[:-2]
+            stop = start + math.prod(lead)
+            split = tuple(p[start:stop].reshape(lead + p.shape[1:]) for p in parts)
+            results[i] = split if isinstance(out, tuple) else split[0]
+            start = stop
+    return results
 
 
 def binary_entropy(p: float) -> float:

@@ -46,7 +46,7 @@ import numpy as np
 from .channels import QuantumChannel, channel_power
 from .errors import NumericalFailureError, ValidationError, _nonnegative_int, _positive_int
 from .information import CQEnsemble, _branch_outputs, _output_map, generalized_information
-from .linalg import batched_entropy, entropy_and_gradient
+from .linalg import batched_entropy, entropy_and_gradient, per_size
 from . import optimize
 from .sampling import seed_rng
 
@@ -124,6 +124,12 @@ class _EnsembleProblem:
     d_A^2 + 2 and 1, or for a phase-covariant channel the dephasing Delta,
     d_A + 1 and d_A.  ``ensemble_of`` twirls the n branches by Z^k for k
     below the twirl order.
+
+    The three outputs N(X_x), N^c(X_x) and the average go through the
+    entropy kernel together, one call per distinct matrix size
+    (:func:`qcap.linalg.per_size`): one call when d_B equals the Kraus
+    count, as for dephasing, amplitude damping, erasure and the identity.
+    A 2x2 output takes the kernel's closed-form spectrum, larger ones LAPACK.
     """
 
     def __init__(self, channel: QuantumChannel, l: int):
@@ -167,9 +173,7 @@ class _EnsembleProblem:
     def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Block (not per-use) values of (r_q, r_c) for a parameter batch."""
         _, _, probs, sigma_b, env, avg_b = self._outputs(thetas)
-        s_br = batched_entropy(env)
-        s_b = batched_entropy(sigma_b)
-        s_avg = batched_entropy(avg_b)
+        s_b, s_br, s_avg = per_size(batched_entropy, sigma_b, env, avg_b)
         r_c = s_avg - (probs * s_b).sum(axis=1)
         r_q = (probs * (s_b - s_br)).sum(axis=1)
         return r_q, r_c
@@ -189,9 +193,8 @@ class _EnsembleProblem:
         """
         b, n, d_a = len(thetas), self.n, self.d_a
         a, total, probs, sigma_b, env, avg_b = self._outputs(thetas)
-        s_b, g_b = entropy_and_gradient(sigma_b)
-        s_e, g_e = entropy_and_gradient(env)
-        _, g_avg = entropy_and_gradient(avg_b)
+        (s_b, g_b), (s_e, g_e), (_, g_avg) = per_size(entropy_and_gradient,
+                                                       sigma_b, env, avg_b)
 
         # Tr[Gamma dX] pulled back from vec(Gamma^T) of every output
         pw = probs[..., None, None]

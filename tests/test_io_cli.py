@@ -314,6 +314,17 @@ def test_cli_rejects_sizes_out_of_range(capsys, command, message):
     assert "Traceback" not in captured.err
 
 
+def test_cli_out_of_memory_is_invalid_input(capsys, monkeypatch):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr("qcap.cli.compute_curve", too_large)
+    assert main(["curve", "--channel", "identity(2)", "--points", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: curve input too large for available memory\n"
+
+
 def test_cli_curve_json_and_csv(tmp_path, capsys):
     argv = ["curve", "--channel", "identity(2)", "--points", "5",
             "--restarts", "1", "--iters", "10", "--seed", "0"]
