@@ -17,11 +17,12 @@ the two estimated quantities are
     W = S(hatC | C') = sum_c p_c S(phi_c^{hatC}).
 
 Maximization runs penalized gradient ascent over the isometry parameters with
-an escalating quadratic penalty on the fidelity shortfall.  The gradient is
-exact: entropy gradients (Daleckii-Krein) and the fidelity gradient are pulled
-back through the Gram products and the phase-fixed QR.  All starts of one
-penalty stage ascend in lock step, one batched gradient and one batched line
-search per iteration.
+an escalating quadratic penalty on the fidelity shortfall.  Every reduced state
+is a Gram product h h^dagger of a reshape h of the pushed-through branches, and
+the exact gradient pulls entropy gradients (Daleckii-Krein) and the fidelity
+gradient (``linalg.fidelity_and_gradient``) back through those factors and the
+phase-fixed QR.  All starts of one penalty stage ascend in lock step, one
+batched gradient and one batched line search per iteration.
 The identity embedding U0 |cq> = |cq>|0>_E is always included as a start; it
 is exactly feasible at every eps, so a feasible witness always exists.
 Estimates are lower bounds on the true constrained maxima.  Grids over eps
@@ -36,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError, _nonnegative_int, _positive_int
-from .linalg import (SUPPORT_CUTOFF, batched_entropy, entropy_and_gradient,
+from .linalg import (batched_entropy, entropy_and_gradient, fidelity_and_gradient,
                      fidelity_from_eigenvalues, hermitize, phase_fixed_qr,
                      phase_fixed_qr_adjoint, sqrt_psd)
 from .optimize import maximize
@@ -94,31 +95,31 @@ def extend_source(state: DensityMatrix) -> ExtendedSource:
 
     The state must be block diagonal in the C basis within 1e-10.
     Branch purifications share one reference R' sized by the largest branch
-    rank.  The product |C||Q| is capped at 4 to keep the isometry search
-    tractable.
+    rank; a branch of lower rank leaves its spare R' columns zero.  The
+    product |C||Q| is capped at 4 to keep the isometry search tractable.
     """
     work, probs, branch_mats = block_form(state, ("C", "Q", "R"))
     d_c, d_q, d_r = work.space.dims
     if d_c * d_q > MAX_CQ:
         raise ValidationError(
             f"|C| * |Q| = {d_c * d_q} exceeds the supported limit {MAX_CQ}")
-    eigs = [np.linalg.eigh(m) for m in branch_mats]
-    d_rp = max(max(int(np.sum(w > 1e-12)), 1) for w, _ in eigs)
-
-    branches = np.zeros((d_c, d_q * d_r, d_rp), dtype=complex)
-    for c, (w, v) in enumerate(eigs):
-        keep = np.argsort(w)[::-1][:d_rp]
-        w_k = np.clip(w[keep], 0.0, None)
-        branches[c] = v[:, keep] * np.sqrt(w_k)[None, :]
-        branches[c] /= np.linalg.norm(branches[c])
-    target = np.zeros((d_c * d_q * d_r,) * 2, dtype=complex)
-    t_view = target.reshape(d_c, d_q * d_r, d_c, d_q * d_r)
-    for c, m in enumerate(branch_mats):
-        t_view[c, :, c, :] = probs[c] * m
+    mats = np.stack(branch_mats)
+    w, v = np.linalg.eigh(mats)
+    d_rp = max(int((w > 1e-12).sum(axis=1).max()), 1)
+    # eigh sorts ascending, so the kept columns are the last d_rp, largest first
+    keep = slice(None, -d_rp - 1, -1)
+    branches = v[:, :, keep] * np.sqrt(np.maximum(w[:, keep], 0.0))[:, None, :]
+    branches /= np.linalg.norm(branches, axis=(1, 2), keepdims=True)
+    target = np.einsum("xy,xij->xiyj", np.diag(probs), mats).reshape((d_c * d_q * d_r,) * 2)
     return ExtendedSource(dim_c=d_c, dim_q=d_q, dim_r=d_r, dim_rp=d_rp,
                           probs=probs,
                           branches=branches.reshape(d_c, d_q, d_r, d_rp),
                           target=target)
+
+
+def _gram(h: np.ndarray) -> np.ndarray:
+    """h h^dagger over the last two axes."""
+    return h @ h.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,10 +172,13 @@ class _GadgetProblem:
         """A, U = phase_fixed_qr(A), phi and g for a parameter batch.
 
         phi[b, x, (a, e), w] = sqrt(p_x) (U tensor 1_{RR'}) |x>|omega_x> is
-        branch x pushed through the isometry, with a = hatC hatQ and w = RR'.
-        Every reduced state is a Gram matrix of it: W's p_x rho_x^{hatC} are
-        its branch blocks, and with g[b, (a, w), (x, e)] the E- and C'-traced
-        state on hatC hatQ R R' is rho_y = g g^dagger.
+        branch x pushed through the isometry, with a = hatC hatQ and w = R R';
+        g[b, (a, w), (x, e)] regroups it.  Each reduced state is h h^dagger for
+        a reshape h: W's p_x rho_x^{hatC} for phi[b, x] as (hatC, rest); rho_y
+        on hatC hatQ R R' (E and C' traced) for g, whose g^dagger g has the
+        same spectrum; rho^{hatC} for g as (hatC, rest); and, as sqrt(omega) is
+        Hermitian, M = sqrt(omega) Tr_{R'}(rho_y) sqrt(omega) for sqrt(omega)
+        times g as (hatC hatQ R, R' C' E).
         """
         src = self.src
         a = self._matrices(thetas)
@@ -188,83 +192,60 @@ class _GadgetProblem:
             .reshape(b, src.dim_cq * w, c * self.dim_e)
         return a, iso, phi, g
 
-    def _marginal_c(self, rho_y: np.ndarray) -> np.ndarray:
-        c, rest = self.src.dim_c, rho_y.shape[-1] // self.src.dim_c
-        return np.trace(rho_y.reshape(-1, c, rest, c, rest), axis1=2, axis2=4)
-
-    def _fidelity_operator(self, rho_y: np.ndarray) -> np.ndarray:
-        """M = sqrt(omega) rho_f sqrt(omega) with rho_f = Tr_{R'} rho_y; F = Tr sqrt(M)."""
-        rp = self.src.dim_rp
-        f = rho_y.shape[-1] // rp
-        rho_f = np.trace(rho_y.reshape(-1, f, rp, f, rp), axis1=2, axis2=4)
-        return self.target_sqrt[None] @ rho_f @ self.target_sqrt[None]
-
     def evaluate(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Objective values and fidelities for a parameter batch.
 
-        rho_y is formed once; the hatC and hatC hatQ R marginals are its
-        partial traces.
+        Each reduced state is a Gram product of a reshape of phi or g (see
+        ``_forward``), and the fidelity needs only M's eigenvalues.
         """
         src = self.src
         _, _, phi, g = self._forward(thetas)
         b, c = len(g), src.dim_c
         if self.kind == "W":
             # per branch p_x rho_x^{hatC}; the entropy normalizes away the weight
-            per_x = phi.reshape(b, c, c, -1)
-            value = batched_entropy(per_x @ per_x.conj().swapaxes(-1, -2)) @ src.probs
-        del phi
-        # the C'E output g^dagger g has rho_y's spectrum
-        g_h = g.conj().swapaxes(1, 2)
-        rho_y = g @ g_h
-        if self.kind == "Y":
-            s_y = batched_entropy(rho_y if g.shape[1] <= g.shape[2] else g_h @ g)
-            value = s_y - batched_entropy(self._marginal_c(rho_y))
-        return value, fidelity_from_eigenvalues(
-            np.linalg.eigvalsh(hermitize(self._fidelity_operator(rho_y))))
+            value = batched_entropy(_gram(phi.reshape(b, c, c, -1))) @ src.probs
+        else:
+            s_y = batched_entropy(
+                _gram(g) if g.shape[1] <= g.shape[2] else g.conj().swapaxes(1, 2) @ g)
+            value = s_y - batched_entropy(_gram(g.reshape(b, c, -1)))
+        m = _gram(self.target_sqrt @ g.reshape(b, len(self.target_sqrt), -1))
+        return value, fidelity_from_eigenvalues(np.linalg.eigvalsh(hermitize(m)))
 
     def gradient(self, thetas: np.ndarray, floor: float, kappa: float) -> np.ndarray:
         """Exact gradient of value - kappa * max(0, floor - F)^2 for a batch (B, P).
 
-        Each term is Tr[Gamma d(h h^dagger)] for a Gram factor h, which pulls
-        back to h as 2 Gamma h.  On rho_y = g g^dagger, Gamma holds Y's entropy
-        gradient G_y minus G_c tensor 1 for S(hatC), and the penalty's
-        2 kappa (floor - F) dF/drho_f tensor 1_{R'}, where
-        dF/drho_f = sqrt(omega) M^{-1/2} sqrt(omega) / 2 over the eigenvalues
-        of M above ``SUPPORT_CUTOFF``.  W puts p_x G_x on each branch block of
-        phi.  Through phi = sqrt(p_x) U_x B_x the result reaches U, and the
-        phase-fixed QR adjoint takes it to A.
+        Each term is Tr[Gamma d(h h^dagger)] for one of ``_forward``'s Gram
+        factors h, which pulls back to h as 2 Gamma h.  Y puts G_y on g g^dagger
+        (or on g^dagger g, pulled back as 2 g G_y) and -G_c on rho^{hatC}; W
+        puts p_x G_x on each branch block of phi.  The penalty puts
+        pull * dF/dM on M = h h^dagger, h = sqrt(omega) g, with
+        pull = 2 kappa max(0, floor - F); floor <= 1, so it is 0 wherever the
+        cap at 1 binds.  Through phi = sqrt(p_x) U_x B_x the result reaches U,
+        and the phase-fixed QR adjoint takes it to A.
         """
         src = self.src
         a, iso, phi, g = self._forward(thetas)
         b, c, qd = len(a), src.dim_c, src.dim_q
         w = src.dim_r * src.dim_rp
-        g_h = g.conj().swapaxes(1, 2)
-        rho_y = g @ g_h
         if self.kind == "Y":
             if g.shape[1] <= g.shape[2]:
-                g_bar = 2.0 * entropy_and_gradient(rho_y)[1] @ g
+                g_bar = 2.0 * entropy_and_gradient(_gram(g))[1] @ g
             else:
-                g_bar = 2.0 * g @ entropy_and_gradient(g_h @ g)[1]
-            g_c = entropy_and_gradient(self._marginal_c(rho_y))[1]
-            g_bar -= 2.0 * (g_c @ g.reshape(b, c, -1)).reshape(g.shape)
+                g_bar = 2.0 * g @ entropy_and_gradient(g.conj().swapaxes(1, 2) @ g)[1]
+            h_c = g.reshape(b, c, -1)
+            g_bar -= 2.0 * (entropy_and_gradient(_gram(h_c))[1] @ h_c).reshape(g.shape)
         else:
             g_bar = np.zeros_like(g)
-        lam, vec = np.linalg.eigh(hermitize(self._fidelity_operator(rho_y)))
-        fid = fidelity_from_eigenvalues(lam)
-        # floor <= 1, so the shortfall is 0 wherever min(., 1) clips the fidelity;
-        # the 2 of 2 kappa and the 1/2 of dF/drho_f cancel
-        pull = kappa * np.clip(floor - fid, 0.0, None)
-        inv_sqrt = np.where(lam > SUPPORT_CUTOFF,
-                            1.0 / np.sqrt(np.maximum(lam, SUPPORT_CUTOFF)), 0.0)
-        d_f = self.target_sqrt[None] @ (vec * (pull[:, None] * inv_sqrt)[:, None, :]) \
-            @ vec.conj().swapaxes(1, 2) @ self.target_sqrt[None]
-        g_bar += 2.0 * (d_f @ g.reshape(b, d_f.shape[-1], -1)).reshape(g.shape)
+        h = self.target_sqrt @ g.reshape(b, len(self.target_sqrt), -1)
+        fid, d_f = fidelity_and_gradient(_gram(h))
+        pull = 2.0 * kappa * np.maximum(floor - fid, 0.0)
+        g_bar += 2.0 * (self.target_sqrt @ (pull[:, None, None] * d_f) @ h).reshape(g.shape)
 
         phi_bar = g_bar.reshape(b, src.dim_cq, w, c, self.dim_e).transpose(0, 3, 1, 4, 2) \
             .reshape(phi.shape)
         if self.kind == "W":
             per_x = phi.reshape(b, c, c, -1)
-            g_x = entropy_and_gradient(per_x @ per_x.conj().swapaxes(-1, -2))[1]
+            g_x = entropy_and_gradient(_gram(per_x))[1]
             phi_bar += (2.0 * src.probs[:, None, None] * g_x @ per_x).reshape(phi.shape)
         u_bar = np.sqrt(src.probs)[:, None, None] * phi_bar \
             @ src.branches.reshape(c, qd, w).conj().swapaxes(-1, -2)
@@ -319,8 +300,7 @@ def _estimate(source: ExtendedSource, kind: str, epsilon: float,
 
         def objective(batch: np.ndarray) -> np.ndarray:
             value, fid = problem.evaluate(batch)
-            shortfall = np.clip(floor - fid, 0.0, None)
-            return value - kappa * shortfall ** 2
+            return value - kappa * np.maximum(floor - fid, 0.0) ** 2
 
         thetas, _ = maximize(objective, thetas, max_iters=opts.iters_per_stage,
                              init_step=INIT_STEP, chunk=problem.chunk,

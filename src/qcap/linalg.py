@@ -7,7 +7,8 @@ negative eigenvalues produced by roundoff are clamped before use.
 The entropy kernels read a 2x2 batch's spectrum in closed form and send
 every larger size to LAPACK; both paths share the clip, normalization and
 cutoff.  :func:`per_size` runs a kernel once per distinct matrix size over
-several batches, so a caller with outputs of one size makes one call.
+several batches, so a caller with outputs of one size makes one call.  The
+fidelity kernel gives F and dF/dM from one eigendecomposition.
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ def _spectral_entropy(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     Returns (S, the normalized eigenvalues, the clipped trace (..., 1)).
     """
-    w = np.clip(w, 0.0, None)
-    tot = np.clip(w.sum(axis=-1, keepdims=True), ENTROPY_CUTOFF, None)
+    w = np.maximum(w, 0.0)
+    tot = np.maximum(w.sum(axis=-1, keepdims=True), ENTROPY_CUTOFF)
     w = w / tot
     safe = np.where(w > ENTROPY_CUTOFF, w, 1.0)
     return -(safe * np.log2(safe)).sum(axis=-1) + 0.0, w, tot
@@ -141,6 +142,19 @@ def fidelity_from_eigenvalues(w: np.ndarray) -> np.ndarray:
     """min(Tr sqrt M, 1) from the eigenvalues (..., d) of M = sqrt(rho) xi sqrt(rho); those
     at or below ``SUPPORT_CUTOFF`` are rounding (sqrt(1e-17) = 3e-9) and count as zero."""
     return np.minimum(np.sqrt(np.where(w <= SUPPORT_CUTOFF, 0.0, w)).sum(axis=-1), 1.0)
+
+
+def fidelity_and_gradient(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F = min(Tr sqrt M, 1) of a batch (..., d, d) and dTr sqrt(M)/dM from one eigh.
+
+    With M = V diag(w) V^dagger the gradient is V diag(w^{-1/2} / 2) V^dagger
+    over the eigenvalues above ``SUPPORT_CUTOFF``, zero on the rest.  It does
+    not differentiate the cap at 1: where the cap binds, F is flat, yet the
+    gradient returned is that of Tr sqrt M.
+    """
+    w, v = np.linalg.eigh(hermitize(np.asarray(m)))
+    coef = np.where(w > SUPPORT_CUTOFF, 0.5 / np.sqrt(np.maximum(w, SUPPORT_CUTOFF)), 0.0)
+    return fidelity_from_eigenvalues(w), (v * coef[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:

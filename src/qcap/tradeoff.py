@@ -134,7 +134,6 @@ class _EnsembleProblem:
 
     def __init__(self, channel: QuantumChannel, l: int):
         power = channel_power(channel, l)
-        self.level = l
         self.out_map = _output_map(np.stack(power.kraus))
         self.d_a = power.dim_in
         self.d_b = power.dim_out

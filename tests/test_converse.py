@@ -46,6 +46,19 @@ def two_block_mixed(seed: int = 0) -> DensityMatrix:
     return cqr_state((2, 2, 2), m.reshape(8, 8))
 
 
+def mixed_rank_blocks(seed: int = 0) -> DensityMatrix:
+    """A pure ebit branch of weight 0.3 beside a full-rank branch of weight 0.7."""
+    rng = seed_rng(seed, "mixed-rank")
+    ebit = np.zeros(4, dtype=complex)
+    ebit[0] = ebit[3] = 1.0 / np.sqrt(2.0)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    full = a @ a.conj().T
+    m = np.zeros((2, 4, 2, 4), dtype=complex)
+    m[0, :, 0, :] = 0.3 * np.outer(ebit, ebit.conj())
+    m[1, :, 1, :] = 0.7 * full / np.trace(full).real
+    return cqr_state((2, 2, 2), m.reshape(8, 8))
+
+
 def test_extend_source_classical_bit():
     src = extend_source(classical_bit(0.65))
     assert (src.dim_c, src.dim_q, src.dim_r) == (2, 1, 2)
@@ -67,6 +80,22 @@ def test_extend_source_purifies_mixed_branches():
         expect = np.asarray(t4[c, :, c, :]) / src.probs[c]
         assert src.branch_marginal(c) == pytest.approx(expect, abs=1e-10)
     # the stored target is the block-diagonal source itself
+    assert src.target == pytest.approx(state.matrix, abs=1e-10)
+
+    # branches of different ranks share R', sized by the full-rank branch
+    state = mixed_rank_blocks()
+    src = extend_source(state)
+    assert src.dim_rp == 4
+    assert src.probs == pytest.approx([0.3, 0.7], abs=1e-12)
+    t4 = state.matrix.reshape(2, 4, 2, 4)
+    for c in range(2):
+        expect = np.asarray(t4[c, :, c, :]) / src.probs[c]
+        assert src.branch_marginal(c) == pytest.approx(expect, abs=1e-10)
+    # the rank-one branch fills its first R' column; the other three are zero up to
+    # the square root of a rounding-level eigenvalue
+    cols = src.branches[0].reshape(4, 4)
+    assert np.linalg.norm(cols[:, 0]) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(cols[:, 1:]) <= 1e-7
     assert src.target == pytest.approx(state.matrix, abs=1e-10)
 
 
@@ -220,6 +249,7 @@ def test_gadget_evaluate_matches_direct_contraction():
                "pure ebit": pure_ebit(),
                "mixed ebit": mixed_ebit(),
                "two mixed blocks": two_block_mixed(),
+               "mixed ranks": mixed_rank_blocks(),
                "zero-weight block": classical_bit(1.0)}
     for name, state in sources.items():
         src = extend_source(state)

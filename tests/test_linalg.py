@@ -1,9 +1,10 @@
-"""Entropy kernels: the closed-form 2x2 path against LAPACK, and per-size batching."""
+"""Entropy kernels: the closed-form 2x2 path against LAPACK, and per-size batching;
+the fidelity kernel against eigenvalues and central differences."""
 import numpy as np
 import pytest
 
-from qcap.linalg import (ENTROPY_CUTOFF, batched_entropy, entropy_and_gradient, hermitize,
-                         per_size)
+from qcap.linalg import (ENTROPY_CUTOFF, batched_entropy, entropy_and_gradient,
+                         fidelity_and_gradient, fidelity_from_eigenvalues, hermitize, per_size)
 from qcap.sampling import seed_rng
 
 from spectral_oracle import eigh_entropy, eigh_entropy_and_gradient
@@ -128,3 +129,52 @@ def test_per_size_calls_once_per_size_and_matches_separate_calls(kernel):
         for a, b in zip(got if isinstance(want, tuple) else (got,),
                         want if isinstance(want, tuple) else (want,)):
             assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def _psd_batch(rng, d: int, rank: int) -> np.ndarray:
+    """A batch LEAD of d x d PSD matrices of the given rank, traces in [0.05, 1]."""
+    m = _gram(_complex(rng, *LEAD, d, rank))
+    tr = np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    return rng.uniform(0.05, 1.0, size=LEAD)[..., None, None] * m / tr
+
+
+@pytest.mark.parametrize("d, rank", [(2, 2), (3, 3), (4, 4), (6, 6), (2, 1), (4, 2), (6, 3)])
+def test_fidelity_kernel_value_matches_eigenvalues(d, rank):
+    m = _psd_batch(seed_rng(0, "fidelity-kernel", d, rank), d, rank)
+    fid, grad = fidelity_and_gradient(m)
+    assert fid.shape == LEAD and grad.shape == m.shape
+    expect = fidelity_from_eigenvalues(np.linalg.eigvalsh(m))
+    assert np.abs(fid - expect).max() <= 1e-12
+    assert np.abs(grad - grad.conj().swapaxes(-1, -2)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_fidelity_gradient_matches_central_differences(d):
+    # dTr sqrt(M)/dM on full-rank M: the uncapped trace, which is what the kernel differentiates
+    rng = seed_rng(1, "fidelity-gradient", d)
+    m = _psd_batch(rng, d, d) + 0.05 * np.eye(d)
+    _, grad = fidelity_and_gradient(m)
+
+    def tr_sqrt(x):
+        return np.sqrt(np.linalg.eigvalsh(x)).sum(axis=-1)
+
+    for _ in range(3):
+        h = hermitize(_complex(rng, *LEAD, d, d))
+        step = 1e-5
+        diff = (tr_sqrt(m + step * h) - tr_sqrt(m - step * h)) / (2 * step)
+        exact = np.einsum("...ij,...ji->...", grad, h).real
+        assert np.abs(exact - diff).max() <= 1e-6 * np.abs(diff).max()
+
+
+@pytest.mark.parametrize("d, rank", [(2, 1), (4, 2), (6, 3)])
+def test_fidelity_gradient_vanishes_on_the_kernel(d, rank):
+    rng = seed_rng(2, "fidelity-kernel-block", d, rank)
+    a = _complex(rng, *LEAD, d, rank)
+    m = _gram(a)
+    _, grad = fidelity_and_gradient(m)
+    # projector onto the kernel of M = a a^dagger, from a's column space
+    q = np.linalg.qr(a)[0]
+    kernel = np.eye(d) - _gram(q)
+    block = kernel @ grad @ kernel
+    assert np.abs(block).max() <= 1e-12 * np.abs(grad).max()
+    assert np.abs(grad).max() > 0.1
