@@ -34,6 +34,10 @@ class Slope:
     value: float
     degenerate: bool = False
 
+    def __post_init__(self) -> None:
+        if not self.value >= 0:
+            raise ValidationError(f"slope must be non-negative, got {self.value!r}")
+
     @property
     def infinite(self) -> bool:
         return math.isinf(self.value)

@@ -10,6 +10,7 @@ import hashlib
 
 import numpy as np
 
+from .channels import QuantumChannel
 from .errors import ValidationError, _nonnegative_int, _positive_int
 from .linalg import phase_fixed_qr
 from .spaces import TensorSpace
@@ -83,10 +84,8 @@ def random_isometry(dim_out: int, dim_in: int, seed: int | np.random.Generator) 
 
 
 def random_channel(dim_in: int, dim_out: int, kraus_count: int,
-                   seed: int | np.random.Generator):
+                   seed: int | np.random.Generator) -> QuantumChannel:
     """Random channel from a Haar isometry into output x environment."""
-    from .channels import QuantumChannel
-
     kraus_count = _positive_int(kraus_count,
                                 f"kraus_count must be a positive integer, got {kraus_count!r}")
     if dim_out * kraus_count < dim_in:

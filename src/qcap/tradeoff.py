@@ -282,7 +282,7 @@ def evaluate_point(ensemble: CQEnsemble, channel: QuantumChannel, l: int = 1) ->
 
 
 def _optimize(problem: _EnsembleProblem, t: float, opts: OptimizerOptions,
-              extra_starts: Sequence[np.ndarray]) -> tuple[np.ndarray, float, bool]:
+              extra_starts: Sequence[np.ndarray]) -> tuple[np.ndarray, bool]:
     def objective(thetas: np.ndarray) -> np.ndarray:
         r_q, r_c = problem.rates(thetas)
         return (1.0 - t) * r_c + t * r_q
@@ -306,7 +306,7 @@ def _optimize(problem: _EnsembleProblem, t: float, opts: OptimizerOptions,
                                        gradient=lambda th: problem.gradient(th, t))
     best = int(np.argmax(values))
     fell_back = bool(values[best] <= baseline + 1e-12)
-    return thetas[best], float(values[best]), fell_back
+    return thetas[best], fell_back
 
 
 def optimize_scalarized(channel: QuantumChannel, l: int, t: float,
@@ -317,7 +317,7 @@ def optimize_scalarized(channel: QuantumChannel, l: int, t: float,
         raise ValidationError(f"scalarization weight {t} outside [0, 1]")
     opts = opts or OptimizerOptions()
     problem = _EnsembleProblem(channel, l)
-    theta, _, fell_back = _optimize(problem, t, opts, extra_starts)
+    theta, fell_back = _optimize(problem, t, opts, extra_starts)
     ens = problem.ensemble_of(theta)
     r_q, r_c = evaluate_point(ens, channel, l)
     return ScalarizedResult(ensemble=ens, r_q=r_q, r_c=r_c,
@@ -327,8 +327,9 @@ def optimize_scalarized(channel: QuantumChannel, l: int, t: float,
 
 def default_t_grid(count: int = 21) -> np.ndarray:
     """Chebyshev-spaced scalarization weights on [0, 1], endpoints included."""
-    if count < 2:
-        raise ValidationError(f"a weight grid needs at least 2 points, got {count}")
+    message = f"a weight grid needs at least 2 points, got {count!r}"
+    if _positive_int(count, message) < 2:
+        raise ValidationError(message)
     k = np.arange(count)
     return 0.5 * (1.0 - np.cos(np.pi * k / (count - 1)))
 

@@ -15,7 +15,9 @@ Each p_y is read as an exact binary fraction, so the sum is carried out in
 integers: counts are exact and masses are the exact value rounded once.
 This stays cheap at block lengths where listing sequences is impossible.
 Projector construction and sequence enumeration carry explicit resource
-guardrails.
+guardrails.  A source projection diagonalizes each branch's Q marginal once
+and clips its negative eigenvalues; every kept string's projector is built
+from those eigensystems.
 
 The dimension bound  count <= 2^(n [H(p) + c delta])  holds exactly for
 full-support p with the constant c = sum_x |log2 p(x)|; the conditional
@@ -52,16 +54,10 @@ class TypicalSpec:
     delta: float
 
     def __init__(self, probs, n: int, delta: float):
-        p = np.asarray(probs, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValidationError("probability vector must be 1-dimensional and non-empty")
-        p = _validate_conditional(p[None])[0]
-        n = _positive_int(n, f"block length must be a positive integer, got {n!r}")
-        if not 0 < delta < math.inf:
-            raise ValidationError(f"slack must be positive, got {delta!r}")
-        object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "delta", float(delta))
+        object.__setattr__(self, "probs", _distribution(probs))
+        object.__setattr__(self, "n", _positive_int(
+            n, f"block length must be a positive integer, got {n!r}"))
+        object.__setattr__(self, "delta", _slack(delta))
 
     @property
     def alphabet_size(self) -> int:
@@ -112,6 +108,21 @@ def typical_dimension_bound(spec: TypicalSpec) -> float:
     return spec.n * (h + dimension_constant(spec.probs) * spec.delta)
 
 
+def _slack(delta, message: str | None = None) -> float:
+    """``delta`` as a float when 0 < delta < inf, else ValidationError."""
+    if not 0 < delta < math.inf:
+        raise ValidationError(message or f"slack must be positive, got {delta!r}")
+    return float(delta)
+
+
+def _distribution(probs) -> np.ndarray:
+    """A non-empty 1-d probability vector, validated as a one-row conditional."""
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValidationError("probability vector must be 1-dimensional and non-empty")
+    return _validate_conditional(p[None])[0]
+
+
 def _validate_conditional(cond) -> np.ndarray:
     """Rows of probabilities, clipped at zero; a validated array validates again."""
     m = np.asarray(cond, dtype=float)
@@ -141,8 +152,7 @@ def _symbols(seq: Sequence[int], k: int, what: str) -> np.ndarray:
 def _base_sequence(xn: Sequence[int], delta: float, kx: int) -> np.ndarray:
     """The base sequence as a non-empty 1-d integer array over range(kx); 0 < delta < inf."""
     xs = _symbols(xn, kx, "base sequence")
-    if not 0 < delta < math.inf:
-        raise ValidationError(f"slack must be positive, got {delta!r}")
+    _slack(delta)
     return xs
 
 
@@ -239,19 +249,15 @@ def conditional_dimension_constant(cond) -> float:
 
 def conditional_dimension_bound(probs, cond, n: int, delta: float) -> float:
     """log2 of the bound 2^(n [S(Y|X) + c delta]); needs a typical base sequence."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValidationError("probability vector must be 1-dimensional and non-empty")
-    p = _validate_conditional(p[None])[0]
+    p = _distribution(probs)
     m = _validate_conditional(cond)
     if p.size != m.shape[0]:
         raise ValidationError("marginal and conditional alphabet sizes differ")
     message = f"need n >= 1 and positive slack, got n={n!r}, delta={delta!r}"
     n = _positive_int(n, message)
-    if not 0 < delta < math.inf:
-        raise ValidationError(message)
+    delta = _slack(delta, message)
     s_cond = float(np.sum([p[x] * entropy_from_probs(m[x]) for x in range(p.size)]))
-    return n * (s_cond + conditional_dimension_constant(m) * float(delta))
+    return n * (s_cond + conditional_dimension_constant(m) * delta)
 
 
 def enumerate_conditionally_typical(cond, xn: Sequence[int],
@@ -306,26 +312,23 @@ def _descending_eigensystem(matrix: np.ndarray, clip: bool) -> tuple[np.ndarray,
     return w / w.sum(), v[:, order]
 
 
-def _basis_projector_sum(sequences, bases: list[np.ndarray], dim: int,
-                         n: int) -> np.ndarray:
-    """Sum over sequences of the product-basis rank-1 projector chain.
+def _eigenbasis_projector(eig: Sequence[tuple[np.ndarray, np.ndarray]], xs: np.ndarray,
+                          delta: float) -> np.ndarray:
+    """Sum of the eigenbasis product projectors of the sequences typical along xs.
 
-    bases[t] holds the eigenvector matrix used at position t.  The sum is
-    contracted leg by leg, never materializing a Kronecker power of bases.
+    ``eig[x]`` is branch x's descending (probabilities, eigenvectors).  The sum
+    is contracted leg by leg, never materializing a Kronecker power of bases.
     """
-    mask = np.zeros((dim,) * n, dtype=float)
-    for seq in sequences:
-        mask[seq] = 1.0
-    cur = mask
-    for t in range(n):
-        a = bases[t]
-        b = np.einsum("is,js->sij", a, a.conj())
+    n, dim = xs.size, eig[0][1].shape[0]
+    cur = np.zeros((dim,) * n, dtype=float)
+    for seq in _enumerate(np.stack([w for w, _ in eig]), xs, delta):
+        cur[seq] = 1.0
+    for x in xs.tolist():
+        a = eig[x][1]
         # contract the leading symbol leg; its (i, j) pair appends at the end
-        cur = np.tensordot(cur, b, axes=([0], [0]))
+        cur = np.tensordot(cur, np.einsum("is,js->sij", a, a.conj()), axes=([0], [0]))
     perm = [2 * t for t in range(n)] + [2 * t + 1 for t in range(n)]
-    full = cur.reshape((dim,) * (2 * n)).transpose(perm)
-    d_tot = dim ** n
-    return full.reshape(d_tot, d_tot)
+    return cur.reshape((dim,) * (2 * n)).transpose(perm).reshape(dim ** n, dim ** n)
 
 
 def typical_projector(rho, n: int, delta: float) -> np.ndarray:
@@ -335,15 +338,10 @@ def typical_projector(rho, n: int, delta: float) -> np.ndarray:
 
 
 def conditional_typical_projector(branch_states: Sequence, xn: Sequence[int],
-                                  delta: float, *, _trusted_marginals: bool = False) -> np.ndarray:
+                                  delta: float) -> np.ndarray:
     """Projector from conditionally typical eigenbasis sequences along xn.
 
     Branch states must be positive semidefinite up to ``EIGENVALUE_FLOOR``.
-    ``_trusted_marginals`` is internal, not a validation option: it is set
-    only for :func:`project_and_renormalize`'s branch marginals, whose
-    negative eigenvalues are clipped instead.  A valid source's block of
-    weight 1e-13 divided by its weight can be as far from PSD as
-    diag(101, -100).
     """
     mats = [s.matrix if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex)
             for s in branch_states]
@@ -353,18 +351,13 @@ def conditional_typical_projector(branch_states: Sequence, xn: Sequence[int],
             raise ValidationError("branch states must be finite, square and Hermitian within 1e-10")
     if len({m.shape for m in mats}) != 1:
         raise ValidationError("branch states must share one dimension")
-    dim = mats[0].shape[0]
     xs = _base_sequence(xn, delta, len(mats))
-    n = xs.size
-    if n * math.log2(dim) > PROJECTOR_LOG2_LIMIT:
+    cost = xs.size * math.log2(mats[0].shape[0])
+    if cost > PROJECTOR_LOG2_LIMIT:
         raise ResourceLimitError(
-            f"projector needs n * log2(dim) <= {PROJECTOR_LOG2_LIMIT}, "
-            f"got {n * math.log2(dim):.1f}")
-    eig = [_descending_eigensystem(m, _trusted_marginals) for m in mats]
-    cond = np.stack([w for w, _ in eig], axis=0)
-    seqs = _enumerate(cond, xs, float(delta))
-    bases = [eig[int(x)][1] for x in xs]
-    return _basis_projector_sum(seqs, bases, dim, n)
+            f"projector needs n * log2(dim) <= {PROJECTOR_LOG2_LIMIT}, got {cost:.1f}")
+    eig = [_descending_eigensystem(m, clip=False) for m in mats]
+    return _eigenbasis_projector(eig, xs, float(delta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,14 +383,8 @@ def project_and_renormalize(omega: DensityMatrix, m: int, delta: float) -> Proje
     work, probs, branches = block_form(omega, ("C", "Q", "R"))
     d_c, d_q, d_r = work.space.dims
     m = _positive_int(m, f"power must be a positive integer, got {m!r}")
-    if m * math.log2(d_c * d_q) > PROJECTOR_LOG2_LIMIT:
-        raise ResourceLimitError(
-            f"projection needs m * log2(|C||Q|) <= {PROJECTOR_LOG2_LIMIT}")
     if m * math.log2(d_c * d_q * d_r) > PROJECTOR_LOG2_LIMIT:
         raise ResourceLimitError("projected output state would be too large to build")
-
-    q_marginals = [b.reshape(d_q, d_r, d_q, d_r).trace(axis1=1, axis2=3)
-                   for b in branches]
 
     spec = TypicalSpec(probs, m, delta)
     kept = tuple(enumerate_typical(spec))
@@ -406,6 +393,11 @@ def project_and_renormalize(omega: DensityMatrix, m: int, delta: float) -> Proje
     classical_mass = typical_mass(spec)
     if classical_mass <= 0.0:
         raise ValidationError("retained classical mass is zero")
+    # each branch's Q marginal is diagonalized once; its eigenvalues are clipped,
+    # not rejected, because a valid source's block of weight 1e-13 divided by
+    # its weight can be as far from PSD as diag(101, -100)
+    eig = [_descending_eigensystem(b.reshape(d_q, d_r, d_q, d_r).trace(axis1=1, axis2=3),
+                                   clip=True) for b in branches]
 
     dq_m, dr_m = d_q ** m, d_r ** m
     out_dim = (d_c ** m) * dq_m * dr_m
@@ -422,8 +414,7 @@ def project_and_renormalize(omega: DensityMatrix, m: int, delta: float) -> Proje
         legs = joint.reshape((d_q, d_r) * (2 * m))
         legs = legs.transpose(perm + [2 * m + i for i in perm])
         joint = legs.reshape(dq_m * dr_m, dq_m * dr_m)
-        proj = conditional_typical_projector(q_marginals, list(string), delta,
-                                             _trusted_marginals=True)
+        proj = _eigenbasis_projector(eig, np.array(string), spec.delta)
         big = np.kron(proj, np.eye(dr_m))
         cut = big @ joint @ big
         mass = float(np.trace(cut).real)

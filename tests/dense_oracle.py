@@ -10,7 +10,7 @@ from qcap.errors import ValidationError
 from qcap.linalg import hermitize
 from qcap.states import (EIGENVALUE_FLOOR, HERMITICITY_TOL, TRACE_TOL, DensityMatrix,
                          block_form)
-from qcap.typicality import (TypicalSpec, conditional_typical_projector,
+from qcap.typicality import (TypicalSpec, _descending_eigensystem, _eigenbasis_projector,
                              enumerate_typical, typical_mass)
 
 
@@ -32,7 +32,8 @@ def dense_projection(omega: DensityMatrix, m: int, delta: float) -> np.ndarray:
     """The projected m-fold source, accumulated into one matrix and then hermitized."""
     work, probs, branches = block_form(omega, ("C", "Q", "R"))
     d_c, d_q, d_r = work.space.dims
-    q_marginals = [b.reshape(d_q, d_r, d_q, d_r).trace(axis1=1, axis2=3) for b in branches]
+    eig = [_descending_eigensystem(b.reshape(d_q, d_r, d_q, d_r).trace(axis1=1, axis2=3),
+                                   clip=True) for b in branches]
     spec = TypicalSpec(probs, m, delta)
     classical_mass = typical_mass(spec)
     dq_m, dr_m = d_q ** m, d_r ** m
@@ -45,8 +46,7 @@ def dense_projection(omega: DensityMatrix, m: int, delta: float) -> np.ndarray:
             joint = np.kron(joint, branches[x])
         legs = joint.reshape((d_q, d_r) * (2 * m))
         joint = legs.transpose(perm + [2 * m + i for i in perm]).reshape(dq_m * dr_m, -1)
-        proj = conditional_typical_projector(q_marginals, list(string), delta,
-                                             _trusted_marginals=True)
+        proj = _eigenbasis_projector(eig, np.array(string), float(delta))
         big = np.kron(proj, np.eye(dr_m))
         cut = big @ joint @ big
         mass = float(np.trace(cut).real)

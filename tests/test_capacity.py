@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qcap.capacity import (BlockPlan, capacity_from_curve, generalized_capacity,
+from qcap.capacity import (BlockPlan, Slope, capacity_from_curve, generalized_capacity,
                            intersect, plan_block, slope_of)
 from qcap.channels import dephasing_channel, identity_channel
 from qcap.errors import ValidationError
@@ -100,6 +100,14 @@ def test_intersect_interior_crossing():
     r_q, r_c = intersect(curve, Slope(1.0))
     assert r_q == pytest.approx(8.0 / 13.0, abs=1e-12)
     assert r_c == pytest.approx(8.0 / 13.0, abs=1e-12)
+
+
+def test_slope_rejects_nan_and_negative_values():
+    # Slope(-1.0) used to meet a dephasing curve at a negative classical rate
+    for bad in (-1.0, -math.inf, math.nan, -1e-300):
+        with pytest.raises(ValidationError, match="slope must be non-negative"):
+            Slope(bad)
+    assert Slope(0.0).value == 0.0 and Slope(math.inf).infinite
 
 
 def test_capacity_report_fields():

@@ -7,7 +7,7 @@ from qcap.channels import (QuantumChannel, amplitude_damping_channel,
                            compose, dephasing_channel, depolarizing_channel,
                            erasure_channel, identity_channel, stinespring,
                            tensor_channels)
-from qcap.errors import DimensionMismatchError, ValidationError
+from qcap.errors import DimensionMismatchError, ResourceLimitError, ValidationError
 from qcap.sampling import (random_channel, random_isometry, random_state, random_unitary,
                            seed_rng)
 from qcap.spaces import TensorSpace
@@ -138,6 +138,24 @@ def test_channel_power_integer_types():
     for bad in (True, 2.0):
         with pytest.raises(ValidationError, match="positive integer"):
             channel_power(dephasing_channel(0.1), bad)
+
+
+def test_channel_power_guard_counts_the_output_map():
+    # dephrasure(0.1, 0.25) has d_out = 3 and K = 4: its level-4 output map is
+    # 256 x (3^8 + 4^8), about 2^24.1 entries
+    embed, erase = np.eye(3, 2), np.zeros((2, 3, 2))
+    erase[0, 2, 0] = erase[1, 2, 1] = 1.0
+    dephrasure_shaped = QuantumChannel(2, 3, (
+        np.sqrt(0.75 * 0.9) * embed, np.sqrt(0.75 * 0.1) * embed @ np.diag([1.0, -1.0]),
+        np.sqrt(0.25) * erase[0], np.sqrt(0.25) * erase[1]))
+    for name in ("identity(2)", "dephasing(0.1)", "depolarizing(0.1)", "erasure(0.1)",
+                 "amplitude_damping(0.1)"):
+        assert channel_power(channel_from_name(name), 4).dim_in == 16
+    assert len(channel_power(dephrasure_shaped, 4).kraus) == 256
+    # depolarizing at l = 5 would need a 1,024 x 1,049,600 map (2^30 entries)
+    for chan in (depolarizing_channel(0.1), erasure_channel(0.1), dephrasure_shaped):
+        with pytest.raises(ResourceLimitError, match="output map needs 2\\^"):
+            channel_power(chan, 5)
 
 
 def test_stinespring_dilation():

@@ -314,6 +314,18 @@ def test_cli_rejects_sizes_out_of_range(capsys, command, message):
     assert "Traceback" not in captured.err
 
 
+def test_cli_refuses_a_level_whose_output_map_is_too_large(capsys):
+    # depolarizing at level 5 would need a 1,024 x 1,049,600 complex output map;
+    # the power guard refuses it before any Kraus product is formed
+    command = ["curve", "--channel", "depolarizing(0.1)", "--level", "5",
+               "--points", "2", "--restarts", "0", "--iters", "1"]
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: the 5-fold channel power's output map needs 2^30.0 entries, limit is 2^25")
+
+
 def test_cli_out_of_memory_is_invalid_input(capsys, monkeypatch):
     def too_large(*args, **kwargs):
         raise MemoryError("Unable to allocate 149. GiB for an array")

@@ -84,6 +84,13 @@ def test_default_t_grid():
             default_t_grid(count)
 
 
+def test_default_t_grid_rejects_non_integer_counts():
+    # 2.5 used to give [0, 0.75, 0.75]: no weight 1 and a repeated weight
+    for count in (2.5, 3.0, True):
+        with pytest.raises(ValidationError, match="at least 2 points"):
+            default_t_grid(count)
+
+
 def test_optimize_scalarized_identity_endpoints():
     res = optimize_scalarized(identity_channel(2), 1, 1.0, SMALL)
     assert res.r_q == pytest.approx(1.0, abs=1e-6)

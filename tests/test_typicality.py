@@ -9,6 +9,7 @@ import pytest
 
 from count_oracle import typical_count_by_vectors
 from dense_oracle import dense_projection
+from qcap import typicality
 from qcap.errors import ResourceLimitError, ValidationError
 from qcap.sampling import random_state, seed_rng
 from qcap.spaces import TensorSpace
@@ -224,6 +225,21 @@ def test_projection_classical_bit():
     nz = evals[evals > 1e-12]
     assert len(nz) == 6
     assert np.allclose(nz, 1 / 6, atol=1e-12)
+
+
+def test_projection_diagonalizes_each_branch_once(monkeypatch):
+    calls = []
+    original = typicality._descending_eigensystem
+
+    def counted(matrix, clip):
+        calls.append(clip)
+        return original(matrix, clip)
+
+    monkeypatch.setattr(typicality, "_descending_eigensystem", counted)
+    res = project_and_renormalize(classical_bit(), 4, 0.1)
+    assert len(res.kept_strings) == 6
+    # one eigensystem per branch, both on the clipping path
+    assert calls == [True, True]
 
 
 def test_projection_accepts_permuted_labels():
