@@ -154,7 +154,7 @@ def plan_block(report: CapacityReport, n: int, delta: float) -> BlockPlan:
     terms = []
     if not report.slope.infinite:
         terms.append(n * report.r_q_star / (report.s_q_given_c + delta))
-    if report.slope.value != 0.0 or report.slope.infinite:
+    if report.slope.value != 0.0:
         terms.append(n * report.r_c_star / (report.s_c + delta))
     m = int(math.floor(min(terms) + 1e-12))
     return BlockPlan(m=m, rate_check=m * report.s_cq / n)

@@ -18,13 +18,13 @@ import numpy as np
 from . import io as qio
 from .capacity import generalized_capacity
 from .channels import apply_channel
-from .converse import ConverseOptions, extend_source, gadget_grid
+from .converse import FEASIBILITY_SLACK, ConverseOptions, extend_source, gadget_grid
 from .errors import NumericalFailureError, ValidationError, _positive_int
 from .information import (CQEnsemble, coherent_information, data_processing_gap,
                           generalized_information, holevo_information)
 from .ki import ki_decompose
 from .linalg import binary_entropy
-from .sampling import random_channel, random_pure, random_state, seed_rng
+from .sampling import _ginibre, random_channel, random_pure, random_state, seed_rng
 from .spaces import TensorSpace
 from .states import (DensityMatrix, PureState, entropy, fidelity,
                      partial_trace, tensor, trace_distance)
@@ -120,8 +120,7 @@ def _random_ensemble(seed: int, tag: str, dim_a: int, dim_r: int,
                      entries: int) -> CQEnsemble:
     rng = seed_rng(seed, "verify", tag)
     probs = rng.dirichlet(np.ones(entries))
-    raw = rng.normal(size=(entries, dim_a * dim_r)) \
-        + 1j * rng.normal(size=(entries, dim_a * dim_r))
+    raw = _ginibre(rng, entries, dim_a * dim_r)
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     return CQEnsemble(dim_a=dim_a, dim_r=dim_r, probs=probs, vectors=raw)
 
@@ -221,7 +220,7 @@ def _verify_converse(args) -> list[dict]:
         values = [e.value for e in ests]
         mono = max((values[i] - values[i + 1] for i in range(len(values) - 1)),
                    default=0.0)
-        feas = max((1.0 - e.epsilon - 1e-6) - e.achieved_fidelity for e in ests)
+        feas = max((1.0 - e.epsilon - FEASIBILITY_SLACK) - e.achieved_fidelity for e in ests)
         checks.append(_check(f"grid_monotone_{kind}", mono, 0.0,
                              detail=",".join("%.6f" % v for v in values)))
         checks.append(_check(f"witness_feasible_{kind}", feas, 0.0))
@@ -294,26 +293,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=cmd_kid)
 
-    p = sub.add_parser("curve", help="classical/quantum trade-off frontier")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--level", type=int, default=1)
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--channel", required=True)
+    search.add_argument("--level", type=int, default=1)
+    search.add_argument("--restarts", type=int, default=8)
+    search.add_argument("--iters", type=int, default=60)
+    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--output")
+
+    p = sub.add_parser("curve", parents=[search], help="classical/quantum trade-off frontier")
     p.add_argument("--points", type=int, default=21)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--iters", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("capacity", help="generalized capacity for a source")
+    p = sub.add_parser("capacity", parents=[search], help="generalized capacity for a source")
     p.add_argument("--state", required=True)
-    p.add_argument("--channel", required=True)
-    p.add_argument("--level", type=int, default=1)
     p.add_argument("--system", help="comma-separated sender labels")
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--iters", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("verify", help="run property suites")

@@ -48,7 +48,7 @@ from .errors import NumericalFailureError, ValidationError, _nonnegative_int, _p
 from .information import CQEnsemble, _branch_outputs, _output_map, generalized_information
 from .linalg import batched_entropy, entropy_and_gradient, per_size
 from . import optimize
-from .sampling import seed_rng
+from .sampling import _ginibre, seed_rng
 
 ENVELOPE_TOL = 1e-9
 INIT_STEP = 0.3
@@ -236,7 +236,7 @@ class _EnsembleProblem:
     def canonical_starts(self, rng: np.random.Generator) -> list[np.ndarray]:
         """Deterministic classical-basis and maximally entangled starts."""
         d_a, d_r, n = self.d_a, self.d_r, self.n
-        rand = rng.normal(size=(2, n, d_a * d_r)) + 1j * rng.normal(size=(2, n, d_a * d_r))
+        rand = _ginibre(rng, 2 * n, d_a * d_r).reshape(2, n, -1)
         rand /= np.linalg.norm(rand, axis=2, keepdims=True)
 
         vecs = rand[0].copy()
@@ -257,8 +257,7 @@ class _EnsembleProblem:
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
         weights = np.abs(rng.normal(size=self.n)) + 0.2
-        vectors = rng.normal(size=(self.n, self.d_a * self.d_r)) \
-            + 1j * rng.normal(size=(self.n, self.d_a * self.d_r))
+        vectors = _ginibre(rng, self.n, self.d_a * self.d_r)
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         return self.pack(weights, vectors)
 
@@ -281,8 +280,15 @@ def evaluate_point(ensemble: CQEnsemble, channel: QuantumChannel, l: int = 1) ->
     return max(info.r_q, 0.0) / l, info.r_c / l
 
 
-def _optimize(problem: _EnsembleProblem, t: float, opts: OptimizerOptions,
-              extra_starts: Sequence[np.ndarray]) -> tuple[np.ndarray, bool]:
+def optimize_scalarized(channel: QuantumChannel, l: int, t: float,
+                        opts: OptimizerOptions | None = None,
+                        extra_starts: Sequence[np.ndarray] = ()) -> ScalarizedResult:
+    """Maximize (1 - t) r_c + t r_q over ensembles at level ``l``."""
+    if not 0.0 <= t <= 1.0:
+        raise ValidationError(f"scalarization weight {t} outside [0, 1]")
+    opts = opts or OptimizerOptions()
+    problem = _EnsembleProblem(channel, l)
+
     def objective(thetas: np.ndarray) -> np.ndarray:
         r_q, r_c = problem.rates(thetas)
         return (1.0 - t) * r_c + t * r_q
@@ -305,24 +311,12 @@ def _optimize(problem: _EnsembleProblem, t: float, opts: OptimizerOptions,
                                        init_step=INIT_STEP, chunk=problem.chunk,
                                        gradient=lambda th: problem.gradient(th, t))
     best = int(np.argmax(values))
-    fell_back = bool(values[best] <= baseline + 1e-12)
-    return thetas[best], fell_back
-
-
-def optimize_scalarized(channel: QuantumChannel, l: int, t: float,
-                        opts: OptimizerOptions | None = None,
-                        extra_starts: Sequence[np.ndarray] = ()) -> ScalarizedResult:
-    """Maximize (1 - t) r_c + t r_q over ensembles at level ``l``."""
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"scalarization weight {t} outside [0, 1]")
-    opts = opts or OptimizerOptions()
-    problem = _EnsembleProblem(channel, l)
-    theta, fell_back = _optimize(problem, t, opts, extra_starts)
+    theta = thetas[best]
     ens = problem.ensemble_of(theta)
     r_q, r_c = evaluate_point(ens, channel, l)
     return ScalarizedResult(ensemble=ens, r_q=r_q, r_c=r_c,
-                            value=(1.0 - t) * r_c + t * r_q,
-                            weight_t=float(t), fell_back=fell_back, params=theta)
+                            value=(1.0 - t) * r_c + t * r_q, weight_t=float(t),
+                            fell_back=bool(values[best] <= baseline + 1e-12), params=theta)
 
 
 def default_t_grid(count: int = 21) -> np.ndarray:

@@ -6,7 +6,10 @@ is applied literally: a zero-probability symbol may appear as long as its
 count stays within n delta.  Conditional typicality constrains joint counts
 against p(y|x) N(x) with the same slack.  The typical set of p is the
 conditional typical set of the one-row p(y|x) = p(y) along a constant base
-sequence, so one enumerator lists both.
+sequence, so one enumerator lists both.  Each rule is read as one integer
+count window per symbol (per base symbol for the conditional rule), and
+membership, counting, masses, enumeration and sampling all test counts
+against those windows.
 
 Counts and masses come from one generating function: for a row p with count
 windows [lo_y, hi_y], both are n! times the z^n coefficient of
@@ -109,8 +112,8 @@ def typical_dimension_bound(spec: TypicalSpec) -> float:
 
 
 def _slack(delta, message: str | None = None) -> float:
-    """``delta`` as a float when 0 < delta < inf, else ValidationError."""
-    if not 0 < delta < math.inf:
+    """``delta`` as a float when 0 < delta < inf and not a bool, else ValidationError."""
+    if isinstance(delta, (bool, np.bool_)) or not 0 < delta < math.inf:
         raise ValidationError(message or f"slack must be positive, got {delta!r}")
     return float(delta)
 
@@ -158,18 +161,17 @@ def _base_sequence(xn: Sequence[int], delta: float, kx: int) -> np.ndarray:
 
 def is_conditionally_typical(yn: Sequence[int], xn: Sequence[int], cond,
                              delta: float) -> bool:
-    """Joint-count test |N(x,y) - p(y|x) N(x)| <= n delta for all pairs."""
+    """Joint-count test |N(x,y) - p(y|x) N(x)| <= n delta, read through the count windows."""
     m = _validate_conditional(cond)
     xs = _base_sequence(xn, delta, m.shape[0])
-    kx, ky = m.shape
-    ys = _symbols(yn, ky, "sequence")
+    ys = _symbols(yn, m.shape[1], "sequence")
     if ys.size != xs.size:
         raise ValidationError("sequences must be 1-dimensional with equal length")
-    slack = xs.size * float(delta)
-    joint = np.zeros((kx, ky), dtype=int)
-    np.add.at(joint, (xs, ys), 1)
-    targets = m * joint.sum(axis=1, keepdims=True)
-    return bool(np.all(np.abs(joint - targets) <= slack + COUNT_EPS))
+    for x, _, lo, hi in _per_symbol_windows(m, xs, float(delta)):
+        counts = np.bincount(ys[xs == x], minlength=lo.size)
+        if np.any((counts < lo) | (counts > hi)):
+            return False
+    return True
 
 
 def _per_symbol_windows(cond: np.ndarray, xn: np.ndarray,

@@ -8,8 +8,8 @@ import pytest
 from qcap import io as qio
 from qcap.capacity import Slope
 from qcap.channels import channel_from_name
-from qcap.cli import main
-from qcap.errors import ValidationError
+from qcap.cli import build_parser, main
+from qcap.errors import NumericalFailureError, ValidationError
 from qcap.linalg import binary_entropy
 from qcap.information import CQEnsemble, coherent_information
 from qcap.sampling import random_channel, random_state, seed_rng
@@ -144,6 +144,26 @@ def test_slope_json_kinds():
     assert qio.slope_to_json(Slope(value=float("inf"))) == {"kind": "infinite"}
     assert qio.slope_to_json(Slope(value=0.0, degenerate=True)) == \
         {"kind": "degenerate"}
+
+
+def test_curve_and_capacity_share_search_defaults():
+    parser = build_parser()
+    for argv in (["curve", "--channel", "identity(2)"],
+                 ["capacity", "--state", "source.json", "--channel", "identity(2)"]):
+        args = parser.parse_args(argv)
+        assert (args.level, args.restarts, args.iters, args.seed, args.output) == \
+            (1, 8, 60, 0, None)
+
+
+def test_cli_numerical_failure_exits_3(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise NumericalFailureError("envelope is not concave")
+
+    monkeypatch.setattr("qcap.cli.compute_curve", fail)
+    assert main(["curve", "--channel", "identity(2)"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure:")
 
 
 def test_cli_rejects_bad_invocations():

@@ -1,4 +1,6 @@
 """Koashi-Imoto block decomposition and the reverse channel."""
+import dataclasses
+
 import numpy as np
 import pytest
 from algebra_oracle import component_span
@@ -207,6 +209,37 @@ def test_reverse_channel_erases_fresh_noise_on_redundant_part():
     disturbed = DensityMatrix(rho.space, m2.reshape(8, 8))
     out = apply_channel(rev, disturbed, target="A")
     assert trace_distance(out, rho) <= 1e-8
+
+
+def test_reverse_channel_with_slack_and_a_rank_deficient_mu():
+    for seed in range(6):
+        rho, _, dead, _ = plant(seed_rng(seed, "slack"), [(2, 2), (1, 2)], 1, 2)
+        kid = ki_decompose(rho, seed=seed)
+        assert kid.dead_dim == dead == 1
+        rev = reverse_ki_channel(kid)
+        assert len(rev.kraus) == 9  # 2 x 2 per block, 1 for the slack direction
+        assert trace_distance(apply_channel(rev, rho, target="A"), rho) <= 1e-12
+    # a redundant factor of rank 1 contributes no Kraus operator for its zero eigenvalue
+    small = next(i for i, b in enumerate(kid.blocks) if b.dim_q == 1)
+    blocks = list(kid.blocks)
+    blocks[small] = dataclasses.replace(
+        blocks[small], mu=DensityMatrix(TensorSpace.single("N", 2), np.diag([0.0, 1.0])))
+    kid = dataclasses.replace(kid, blocks=tuple(blocks))
+    rev = reverse_ki_channel(kid)
+    assert len(rev.kraus) == 7
+    assert sum(k.conj().T @ k for k in rev.kraus) == pytest.approx(np.eye(kid.dim_a), abs=1e-12)
+    d_a, d_r = kid.dim_a, kid.dim_r
+    framed = ki_state(kid).matrix.reshape(d_a, d_r, d_a, d_r)
+    fixed = DensityMatrix(rho.space, np.einsum("pa,prqs,qb->arbs", kid.u_ki.conj(), framed,
+                                               kid.u_ki).reshape(rho.dim, rho.dim))
+    assert trace_distance(apply_channel(rev, fixed, target="A"), fixed) <= 1e-12
+
+
+def test_steered_operators_follow_the_system_label():
+    rho = random_state([("R", 3), ("A", 2)], seed_rng(4, "steer"))
+    ops = steered_operators(rho, system="A")
+    assert ops.shape == (9, 2, 2)
+    assert np.array_equal(ops, steered_operators(permute_subsystems(rho, ("A", "R"))))
 
 
 def test_multi_label_system_selection():

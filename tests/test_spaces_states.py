@@ -150,6 +150,16 @@ def test_conditional_entropy_and_mutual_information():
     assert mutual_information(cc, "A", "R") == pytest.approx(1.0, abs=1e-12)
 
 
+def test_conditional_mutual_information():
+    ghz = np.zeros(8, dtype=complex)
+    ghz[[0, 7]] = 1.0 / np.sqrt(2.0)
+    rho = PureState(TensorSpace.of(("A", 2), ("B", 2), ("C", 2)), ghz).density()
+    assert mutual_information(rho, "A", "B", "C") == pytest.approx(1.0, abs=1e-12)
+    rng = seed_rng(3, "cmi")
+    markov = tensor(random_state([("A", 2), ("C", 2)], rng), random_state([("B", 2)], rng))
+    assert mutual_information(markov, "A", "B", "C") == pytest.approx(0.0, abs=1e-12)
+
+
 def test_fidelity_and_trace_distance_basics():
     space = TensorSpace.single("A", 2)
     zero = basis_state(space, 0).density()

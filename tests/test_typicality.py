@@ -530,6 +530,46 @@ def test_slack_must_be_finite(call, message):
             call(bad)
 
 
+def test_slack_rejects_bool():
+    for flag in (True, np.True_):
+        with pytest.raises(ValidationError, match="slack must be positive"):
+            TypicalSpec([0.5, 0.5], 4, flag)
+        with pytest.raises(ValidationError, match="slack must be positive"):
+            project_and_renormalize(classical_bit(), 2, flag)
+        with pytest.raises(ValidationError, match="slack must be positive"):
+            is_conditionally_typical([0, 1], [0, 1], _COND, flag)
+
+
+def _count_offsets(yn, xn, cond) -> np.ndarray:
+    """|N(x,y) - p(y|x) N(x)| for every pair (x, y), the membership oracle's terms."""
+    joint = np.zeros(cond.shape, dtype=int)
+    np.add.at(joint, (xn, yn), 1)
+    return np.abs(joint - cond * joint.sum(axis=1, keepdims=True))
+
+
+def test_membership_agrees_with_the_joint_count_formula():
+    rng = np.random.default_rng(22)
+    outcomes, on_edge = Counter(), 0
+    for case in range(3000):
+        kx, ky, n = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 13))
+        if case % 5 < 2:
+            # eighths and dyadic slacks put counts exactly on window edges
+            cond = rng.multinomial(8, np.ones(ky) / ky, size=kx) / 8
+            delta = float(rng.choice([0.125, 0.25, 0.5]))
+        else:
+            cond = rng.dirichlet(np.ones(ky), size=kx)
+            delta = float(rng.uniform(0.02, 0.6))
+        xn = rng.integers(0, kx, size=n)
+        yn = np.array([rng.choice(ky, p=cond[x]) for x in xn]) if case % 2 else \
+            rng.integers(0, ky, size=n)
+        offsets = _count_offsets(yn, xn, cond)
+        expected = bool(np.all(offsets <= n * delta + typicality.COUNT_EPS))
+        assert is_conditionally_typical(yn, xn, cond, delta) == expected
+        outcomes[expected] += 1
+        on_edge += bool(np.any(offsets == n * delta))
+    assert min(outcomes[True], outcomes[False]) > 300 and on_edge > 50
+
+
 @pytest.mark.parametrize("call", [
     lambda seq: is_typical(seq, TypicalSpec([0.5, 0.5], 2, 0.5)),
     lambda seq: is_conditionally_typical(seq, [0, 1], _COND, 0.3),
