@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QuantumChannel
-from .errors import ValidationError, _positive_int
+from .errors import ValidationError, _positive_float, _positive_int
 from .ki import KIDecomposition, ki_decompose
 from .states import DensityMatrix
 from .tradeoff import OptimizerOptions, TradeoffCurve, compute_curve
@@ -147,8 +147,7 @@ def plan_block(report: CapacityReport, n: int, delta: float) -> BlockPlan:
     applies.  A degenerate source has no defined plan.
     """
     n = _positive_int(n, f"block length must be a positive integer, got {n!r}")
-    if not delta > 0:
-        raise ValidationError(f"margin delta must be positive, got {delta}")
+    delta = _positive_float(delta, f"margin delta must be positive, got {delta}")
     if report.s_cq <= _ENTROPY_ZERO or report.slope.degenerate:
         return BlockPlan(m=0, rate_check=0.0, undefined=True)
     terms = []

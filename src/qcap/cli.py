@@ -64,6 +64,8 @@ def _optimizer_options(args) -> OptimizerOptions:
 def cmd_info(args) -> int:
     if (args.state is None) == (args.ensemble is None):
         raise ValidationError("info needs exactly one of --state or --ensemble")
+    if args.target is not None and (args.ensemble is not None or args.channel is None):
+        raise ValidationError("--target requires --state and --channel")
     if args.ensemble is not None:
         if args.channel is None:
             raise ValidationError("--ensemble requires --channel")

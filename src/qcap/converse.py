@@ -37,11 +37,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError, _nonnegative_int, _positive_int
-from .linalg import (batched_entropy, entropy_and_gradient, fidelity_and_gradient,
-                     fidelity_from_eigenvalues, hermitize, phase_fixed_qr,
-                     phase_fixed_qr_adjoint, sqrt_psd)
+from .linalg import (SUPPORT_CUTOFF, batched_entropy, entropy_and_gradient,
+                     fidelity_and_gradient, fidelity_from_eigenvalues, hermitize,
+                     phase_fixed_qr, phase_fixed_qr_adjoint, sqrt_psd)
 from .optimize import maximize
-from .sampling import seed_rng
+from .sampling import _ginibre, seed_rng
 from .states import DensityMatrix, block_form
 
 FEASIBILITY_SLACK = 1e-6
@@ -105,7 +105,7 @@ def extend_source(state: DensityMatrix) -> ExtendedSource:
             f"|C| * |Q| = {d_c * d_q} exceeds the supported limit {MAX_CQ}")
     mats = np.stack(branch_mats)
     w, v = np.linalg.eigh(mats)
-    d_rp = max(int((w > 1e-12).sum(axis=1).max()), 1)
+    d_rp = max(int((w > SUPPORT_CUTOFF).sum(axis=1).max()), 1)
     # eigh sorts ascending, so the kept columns are the last d_rp, largest first
     keep = slice(None, -d_rp - 1, -1)
     branches = v[:, :, keep] * np.sqrt(np.maximum(w[:, keep], 0.0))[:, None, :]
@@ -134,7 +134,11 @@ class GadgetEstimate:
 
 
 class _GadgetProblem:
-    """Batched (objective, fidelity) and penalized gradients over isometry parameters."""
+    """Batched (objective, fidelity) and penalized gradients over isometry parameters.
+
+    A parameter row is the flattened complex (|C||Q|^3, |C||Q|) matrix whose
+    phase-fixed QR is the isometry.
+    """
 
     def __init__(self, source: ExtendedSource, kind: str):
         if kind not in ("Y", "W"):
@@ -144,21 +148,13 @@ class _GadgetProblem:
         cq = source.dim_cq
         self.dim_e = cq * cq
         self.dim_out = cq * self.dim_e
-        self.n_params = 2 * self.dim_out * cq
+        self.n_params = self.dim_out * cq
         self.target_sqrt = sqrt_psd(source.target)
         per_row = self.dim_out * source.dim_r * source.dim_rp * 16 * source.dim_c
         self.chunk = max(16, int(4e7 / max(per_row, 1)))
 
-    def _matrices(self, thetas: np.ndarray) -> np.ndarray:
-        raw = np.asarray(thetas, dtype=float).reshape(
-            len(thetas), 2, self.dim_out, self.src.dim_cq)
-        return raw[:, 0] + 1j * raw[:, 1]
-
     def isometries(self, thetas: np.ndarray) -> np.ndarray:
-        return phase_fixed_qr(self._matrices(thetas))
-
-    def params_of(self, isometry: np.ndarray) -> np.ndarray:
-        return np.concatenate([isometry.real.reshape(-1), isometry.imag.reshape(-1)])
+        return phase_fixed_qr(thetas.reshape(len(thetas), self.dim_out, self.src.dim_cq))
 
     def identity_params(self) -> np.ndarray:
         cq = self.src.dim_cq
@@ -166,7 +162,7 @@ class _GadgetProblem:
         view = u0.reshape(cq, self.dim_e, cq)
         for j in range(cq):
             view[j, 0, j] = 1.0
-        return self.params_of(u0)
+        return u0.reshape(-1)
 
     def _forward(self, thetas: np.ndarray):
         """A, U = phase_fixed_qr(A), phi and g for a parameter batch.
@@ -181,7 +177,7 @@ class _GadgetProblem:
         times g as (hatC hatQ R, R' C' E).
         """
         src = self.src
-        a = self._matrices(thetas)
+        a = thetas.reshape(len(thetas), self.dim_out, src.dim_cq)
         iso = phase_fixed_qr(a)
         b, c, qd = len(a), src.dim_c, src.dim_q
         w = src.dim_r * src.dim_rp
@@ -251,7 +247,7 @@ class _GadgetProblem:
             @ src.branches.reshape(c, qd, w).conj().swapaxes(-1, -2)
         u_bar = u_bar.transpose(0, 2, 1, 3).reshape(iso.shape)
         a_bar = phase_fixed_qr_adjoint(a, iso, u_bar)
-        return np.stack([a_bar.real, a_bar.imag], axis=1).reshape(b, -1)
+        return a_bar.reshape(b, -1)
 
 
 def _checked_isometry(problem: _GadgetProblem, isometry: np.ndarray) -> np.ndarray:
@@ -274,7 +270,7 @@ def evaluate_isometry(source: ExtendedSource, kind: str,
     """Objective value and fidelity of one explicit isometry witness."""
     problem = _GadgetProblem(source, kind)
     iso = _checked_isometry(problem, isometry)
-    value, fid = problem.evaluate(problem.params_of(iso)[None, :])
+    value, fid = problem.evaluate(iso.reshape(1, -1))
     return float(value[0]), float(fid[0])
 
 
@@ -288,10 +284,10 @@ def _estimate(source: ExtendedSource, kind: str, epsilon: float,
 
     starts = [problem.identity_params()]
     for iso in warm_isometries:
-        starts.append(problem.params_of(_checked_isometry(problem, iso)))
+        starts.append(_checked_isometry(problem, iso).reshape(-1))
     rng = seed_rng(opts.seed, "converse", kind)
     for _ in range(opts.restarts):
-        starts.append(rng.normal(size=problem.n_params))
+        starts.append(_ginibre(rng, problem.dim_out, source.dim_cq).reshape(-1))
 
     # all starts ascend together, one maximize call per penalty stage
     thetas = np.stack(starts)

@@ -7,7 +7,10 @@ tolerance raise :class:`NumericalFailureError`.  The command line maps the
 former to exit code 2 and the latter to exit code 3.  It also maps a
 ``MemoryError``, an input too large to allocate, to exit code 2.
 """
+import math
 from numbers import Integral
+
+import numpy as np
 
 
 class QcapError(Exception):
@@ -53,3 +56,10 @@ def _positive_int(value, message: str) -> int:
     if _nonnegative_int(value, message) == 0:
         raise ValidationError(message)
     return int(value)
+
+
+def _positive_float(value, message: str) -> float:
+    """``value`` as a float if 0 < value < inf and it is not a bool, else ValidationError."""
+    if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:
+        raise ValidationError(message)
+    return float(value)

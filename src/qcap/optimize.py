@@ -1,9 +1,11 @@
 """Deterministic batched gradient ascent used by the variational modules.
 
-The objective is a callable mapping a parameter batch of shape (B, P) to a
-value batch of shape (B,), and the gradient a callable of the same batch
-returning (B, P); the trade-off and the converse searches both pass their
-exact gradients.  Step-size control is a geometric ladder line search per
+A parameter row holds P complex numbers.  The objective is a callable
+mapping a batch of shape (B, P) to a value batch of shape (B,), and the
+gradient a callable of the same batch returning (B, P) complex rows
+df/dRe(theta) + i df/dIm(theta), the steepest ascent direction of the real
+objective; the trade-off and the converse searches both pass their exact
+gradients.  Step-size control is a geometric ladder line search per
 start.  All starts ascend together, but no row's path depends on the others,
 and the whole procedure is deterministic for a deterministic objective whose
 rows do not depend on the batch they are evaluated in.
@@ -30,13 +32,15 @@ def _chunked_eval(objective: Objective, batch: np.ndarray, chunk: int) -> np.nda
 
 def _gradient(gradient: Gradient, thetas: np.ndarray) -> np.ndarray:
     """Gradients (S, P) at a batch of rows; one call per iteration, so a wrapper counts them."""
-    return np.asarray(gradient(thetas), dtype=float)
+    return np.asarray(gradient(thetas), dtype=complex)
 
 
 def maximize(objective: Objective, theta0: np.ndarray, *, gradient: Gradient, max_iters: int,
              init_step: float, chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascend ``objective`` from every row of ``theta0`` (S, P); returns (thetas, values).
+    """Ascend ``objective`` from every complex row of ``theta0`` (S, P); returns (thetas, values).
 
+    ``gradient`` returns g = df/dRe(theta) + i df/dIm(theta) per row, and
+    each step moves along g / sqrt(sum |g|^2).
     The starts move in lock step, one gradient call and one line-search call
     per iteration, but each keeps its own step, stall count and stopping
     rule, so every row ends where an ascent from that row alone would.
@@ -48,7 +52,7 @@ def maximize(objective: Objective, theta0: np.ndarray, *, gradient: Gradient, ma
     operators without the flag peaks at 266 MB with its chunk of 13 rows
     and at 568 MB without it.
     """
-    theta = np.array(theta0, dtype=float)
+    theta = np.array(theta0, dtype=complex)
     best = _chunked_eval(objective, theta, chunk)
     step = np.full(len(theta), float(init_step))
     stall = np.zeros(len(theta), dtype=int)
@@ -56,7 +60,7 @@ def maximize(objective: Objective, theta0: np.ndarray, *, gradient: Gradient, ma
     rungs = 0.35 ** np.arange(6)
     for _ in range(max_iters):
         grad = _gradient(gradient, theta[active])
-        norm = np.sqrt([g @ g for g in grad])  # rounds as np.linalg.norm of one row
+        norm = np.sqrt([g.real @ g.real + g.imag @ g.imag for g in grad])  # as np.linalg.norm
         moving = norm >= 1e-9
         active, grad, norm = active[moving], grad[moving], norm[moving]
         if active.size == 0:

@@ -115,9 +115,9 @@ class TradeoffCurve:
 class _EnsembleProblem:
     """Batched rate evaluation for parameterized ensembles on A^l.
 
-    A parameter row holds one complex d_A x d_R matrix A_x per branch (real
-    parts, then imaginary parts).  X_x = A_x A_x^dagger / sum_y |A_y|^2 is the
-    weighted branch state p_x rho_x, so p_x = Tr X_x and psi_x = A_x / |A_x|.
+    A parameter row holds the complex d_A x d_R matrices A_x of the n branches,
+    flattened.  X_x = A_x A_x^dagger / sum_y |A_y|^2 is the weighted branch
+    state p_x rho_x, so p_x = Tr X_x and psi_x = A_x / |A_x|.
     The average output is N(P(sum_x X_x)), read through ``avg_map``, which
     takes row-major vec(sum_x X_x) to vec N(P(sum_x X_x)).  P, the branch
     count n and the twirl order are set once from the channel: the identity,
@@ -144,14 +144,10 @@ class _EnsembleProblem:
         else:
             self.n, self.twirl_order, kept = self.d_a ** 2 + 2, 1, np.ones(self.d_a ** 2)
         self.avg_map = self.out_map[:, :self.d_b ** 2] * kept[:, None]
-        self.n_params = 2 * self.n * self.d_a * self.d_r
+        self.n_params = self.n * self.d_a * self.d_r
         per_row = self.n * (self.d_b ** 2 + len(power.kraus) ** 2) * 16
         # rows per objective call; optimize.maximize says where it binds
         self.chunk = max(8, int(6e7 / max(per_row, 1)))
-
-    def _matrices(self, thetas: np.ndarray) -> np.ndarray:
-        raw = np.asarray(thetas, dtype=float).reshape(len(thetas), self.n, 2, self.d_a, self.d_r)
-        return raw[:, :, 0] + 1j * raw[:, :, 1]
 
     def _outputs(self, thetas: np.ndarray):
         """A_x, sum_y |A_y|^2, p_x, N(X_x), N^c(X_x) and N(P(sum_x X_x)) for a batch.
@@ -160,7 +156,7 @@ class _EnsembleProblem:
         product, so that no row's value depends on the batch it is
         evaluated in.
         """
-        a = self._matrices(thetas)
+        a = thetas.reshape(len(thetas), self.n, self.d_a, self.d_r)
         mass = (a.real ** 2 + a.imag ** 2).sum(axis=(2, 3))
         total = mass.sum(axis=1, keepdims=True)
         x = a @ a.conj().swapaxes(-1, -2) / total[..., None, None]
@@ -207,7 +203,7 @@ class _EnsembleProblem:
         total = total[..., None, None]
         c = (a.conj() * g_a).real.sum(axis=(1, 2, 3), keepdims=True) / total
         g_a = 2.0 * (g_a - c * a) / total
-        return np.stack([g_a.real, g_a.imag], axis=2).reshape(b, -1)
+        return g_a.reshape(b, -1)
 
     def ensemble_of(self, theta: np.ndarray) -> CQEnsemble:
         """The witness: the n branches twirled by Z^j for j below the twirl order k.
@@ -217,7 +213,7 @@ class _EnsembleProblem:
         average input is Delta(rho_bar) whatever the channel; k = 1 leaves
         the n branches as they are.
         """
-        vecs = self._matrices(theta[None, :])[0].reshape(self.n, -1)
+        vecs = np.array(theta, dtype=complex).reshape(self.n, -1)  # a copy: the row stays intact
         mass = np.linalg.norm(vecs, axis=1) ** 2
         vecs[mass == 0, 0] = 1.0  # a branch of weight 0 still needs a unit vector
         probs = mass / mass.sum()
@@ -230,8 +226,7 @@ class _EnsembleProblem:
 
     def pack(self, weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Parameters with A_x = w_x v_x."""
-        a = np.asarray(weights, float)[:, None] * vectors
-        return np.stack([a.real, a.imag], axis=1).reshape(-1)
+        return (weights[:, None] * vectors).reshape(-1)
 
     def canonical_starts(self, rng: np.random.Generator) -> list[np.ndarray]:
         """Deterministic classical-basis and maximally entangled starts."""
@@ -297,7 +292,7 @@ def optimize_scalarized(channel: QuantumChannel, l: int, t: float,
     canonical = problem.canonical_starts(rng)
     starts = list(canonical)
     for extra in extra_starts:
-        theta = np.asarray(extra, dtype=float)
+        theta = np.asarray(extra, dtype=complex)
         if theta.shape != (problem.n_params,):
             raise ValidationError("warm start has the wrong parameter shape")
         if not theta.any():

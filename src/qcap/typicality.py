@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError, ValidationError, _positive_int
+from .errors import ResourceLimitError, ValidationError, _positive_float, _positive_int
 from .linalg import entropy_from_probs, hermitize
 from .sampling import seed_rng
 from .spaces import TensorSpace
@@ -60,7 +60,8 @@ class TypicalSpec:
         object.__setattr__(self, "probs", _distribution(probs))
         object.__setattr__(self, "n", _positive_int(
             n, f"block length must be a positive integer, got {n!r}"))
-        object.__setattr__(self, "delta", _slack(delta))
+        object.__setattr__(self, "delta", _positive_float(
+            delta, f"slack must be positive, got {delta!r}"))
 
     @property
     def alphabet_size(self) -> int:
@@ -75,7 +76,8 @@ def _windows(probs: np.ndarray, n: int, slack: float) -> tuple[np.ndarray, np.nd
     centers = n * probs
     lo = np.ceil(centers - slack - COUNT_EPS).astype(int)
     hi = np.floor(centers + slack + COUNT_EPS).astype(int)
-    return np.clip(lo, 0, n), np.clip(hi, 0, n)
+    # an edge past [0, n] stays there: lo > hi is an empty window, which admits no count
+    return np.maximum(lo, 0), np.minimum(hi, n)
 
 
 def is_typical(sequence: Sequence[int], spec: TypicalSpec) -> bool:
@@ -109,13 +111,6 @@ def typical_dimension_bound(spec: TypicalSpec) -> float:
     """log2 of the exact cardinality bound 2^(n [H + c delta])."""
     h = entropy_from_probs(spec.probs)
     return spec.n * (h + dimension_constant(spec.probs) * spec.delta)
-
-
-def _slack(delta, message: str | None = None) -> float:
-    """``delta`` as a float when 0 < delta < inf and not a bool, else ValidationError."""
-    if isinstance(delta, (bool, np.bool_)) or not 0 < delta < math.inf:
-        raise ValidationError(message or f"slack must be positive, got {delta!r}")
-    return float(delta)
 
 
 def _distribution(probs) -> np.ndarray:
@@ -155,7 +150,7 @@ def _symbols(seq: Sequence[int], k: int, what: str) -> np.ndarray:
 def _base_sequence(xn: Sequence[int], delta: float, kx: int) -> np.ndarray:
     """The base sequence as a non-empty 1-d integer array over range(kx); 0 < delta < inf."""
     xs = _symbols(xn, kx, "base sequence")
-    _slack(delta)
+    _positive_float(delta, f"slack must be positive, got {delta!r}")
     return xs
 
 
@@ -257,7 +252,7 @@ def conditional_dimension_bound(probs, cond, n: int, delta: float) -> float:
         raise ValidationError("marginal and conditional alphabet sizes differ")
     message = f"need n >= 1 and positive slack, got n={n!r}, delta={delta!r}"
     n = _positive_int(n, message)
-    delta = _slack(delta, message)
+    delta = _positive_float(delta, message)
     s_cond = float(np.sum([p[x] * entropy_from_probs(m[x]) for x in range(p.size)]))
     return n * (s_cond + conditional_dimension_constant(m) * delta)
 

@@ -166,7 +166,8 @@ def test_plan_block_validation():
     report = capacity_from_curve(line_curve(), kid)
     with pytest.raises(ValidationError):
         plan_block(report, n=0, delta=0.1)
-    for delta in (0.0, float("nan")):
+    # a bool is not a margin, and an infinite one plans nothing
+    for delta in (0.0, float("nan"), True, np.True_, float("inf")):
         with pytest.raises(ValidationError, match="margin delta must be positive"):
             plan_block(report, n=10, delta=delta)
 

@@ -113,6 +113,8 @@ def test_compose_matches_sequential_application():
     a = apply_channel(second, apply_channel(first, rho))
     b = apply_channel(combined, rho)
     assert b.matrix == pytest.approx(a.matrix, abs=1e-12)
+    with pytest.raises(DimensionMismatchError, match="first outputs dimension 2, second expects 3"):
+        compose(identity_channel(3), first)
 
 
 def test_tensor_channels_and_power():

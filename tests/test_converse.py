@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from qcap import converse
-from qcap.converse import (ConverseOptions, _GadgetProblem, estimate_W, estimate_Y,
-                           evaluate_isometry, extend_source, gadget_grid)
+from qcap.converse import (ConverseOptions, GadgetEstimate, _GadgetProblem, estimate_W,
+                           estimate_Y, evaluate_isometry, extend_source, gadget_grid)
 from qcap.errors import DimensionMismatchError, ValidationError
 from qcap.linalg import SUPPORT_CUTOFF, batched_entropy, hermitize
 from qcap.sampling import seed_rng
@@ -185,6 +185,31 @@ def test_grid_is_monotone_and_feasible():
             assert est.achieved_fidelity >= 1.0 - eps - 1e-6
 
 
+def test_grid_level_that_does_not_improve_inherits_its_predecessor(monkeypatch):
+    src = extend_source(two_block_mixed())
+    lone = converse._estimate
+    warms = []
+
+    def lower_at_second(source, kind, epsilon, opts, warm_isometries):
+        warms.append(warm_isometries)
+        est = lone(source, kind, epsilon, opts, warm_isometries)
+        if epsilon != 0.2:
+            return est
+        return GadgetEstimate(kind=kind, epsilon=epsilon, value=est.value - 1.0,
+                              achieved_fidelity=est.achieved_fidelity,
+                              witness_isometry=est.witness_isometry)
+
+    monkeypatch.setattr(converse, "_estimate", lower_at_second)
+    tiny = ConverseOptions(restarts=0, iters_per_stage=2, stages=1, seed=0)
+    first, second, third = gadget_grid(src, (0.1, 0.2, 0.3), "Y", tiny)
+    assert (second.kind, second.epsilon) == ("Y", 0.2)
+    assert second.value == first.value
+    assert second.achieved_fidelity == first.achieved_fidelity
+    assert second.witness_isometry is first.witness_isometry
+    # the inherited witness seeds the next level
+    assert warms[2][0] is first.witness_isometry and third.epsilon == 0.3
+
+
 def test_smeared_classical_bit_reaches_log_c():
     # at epsilon = 1/2 a uniform bit can be smeared completely, which drives
     # the classical leakage entropy to its cap log|C| = 1
@@ -255,7 +280,8 @@ def test_gadget_evaluate_matches_direct_contraction():
         src = extend_source(state)
         for kind in ("Y", "W"):
             problem = _GadgetProblem(src, kind)
-            thetas = seed_rng(4, "gadget-oracle", name, kind).normal(size=(64, problem.n_params))
+            x = seed_rng(4, "gadget-oracle", name, kind).normal(size=(64, 2, problem.n_params))
+            thetas = x[:, 0] + 1j * x[:, 1]
             value, fid = problem.evaluate(thetas)
             ref_value, ref_fid = reference_evaluate(problem, thetas)
             assert value == pytest.approx(ref_value, abs=1e-12), (name, kind)
@@ -323,7 +349,8 @@ def test_converse_gradient_matches_central_differences():
         for kind in ("Y", "W"):
             problem = _GadgetProblem(src, kind)
             rng = seed_rng(5, "converse-gradient", name, kind)
-            thetas = rng.normal(size=(3, problem.n_params))
+            x = rng.normal(size=(3, 2, problem.n_params))
+            thetas = x[:, 0] + 1j * x[:, 1]
             for floor, kappa in ((0.0, 10.0), (0.999, 100.0)):
                 if floor > 0 and name in deficient:
                     objective = penalized_without_null_space(problem, floor, kappa)
@@ -346,8 +373,8 @@ def test_penalized_evaluate_is_differentiable_on_rank_deficient_targets():
         src = extend_source(state)
         for kind in ("Y", "W"):
             problem = _GadgetProblem(src, kind)
-            thetas = seed_rng(5, "converse-gradient", name, kind).normal(
-                size=(3, problem.n_params))
+            x = seed_rng(5, "converse-gradient", name, kind).normal(size=(3, 2, problem.n_params))
+            thetas = x[:, 0] + 1j * x[:, 1]
             exact = problem.gradient(thetas, floor, kappa)
             diff = central_differences(penalized(problem, floor, kappa), thetas, problem.chunk)
             err = np.linalg.norm(exact - diff, axis=1)

@@ -39,6 +39,11 @@ def test_ensemble_validation():
         CQEnsemble(2, 2, np.array([0.5, 0.5]), np.eye(2, dtype=complex))
     with pytest.raises(ValidationError):
         CQEnsemble(2, 1, np.array([-0.2, 1.2]), np.eye(2, dtype=complex))
+    entries = 4097
+    vecs = np.zeros((entries, 2), dtype=complex)
+    vecs[:, 0] = 1.0
+    with pytest.raises(ValidationError, match="4097 entries, limit 4096"):
+        CQEnsemble(2, 1, np.full(entries, 1.0 / entries), vecs)
 
 
 def test_ensemble_helpers():
@@ -292,7 +297,9 @@ def test_ensemble_rates_match_generalized_information():
     for d_b, k in ((2, 2), (2, 4), (2, 5), (3, 2)):
         chan = random_channel(2, d_b, k, seed_rng(3, "rates-oracle-chan", d_b, k))
         problem = _EnsembleProblem(chan, 1)
-        thetas = seed_rng(3, "rates-oracle", d_b, k).normal(size=(8, problem.n_params))
+        rng = seed_rng(3, "rates-oracle", d_b, k)
+        x = rng.normal(size=(8, problem.n, 2, problem.d_a * problem.d_r))
+        thetas = (x[:, :, 0] + 1j * x[:, :, 1]).reshape(8, -1)
         # one branch matrix zeroed: weight 0, and a unit anchor vector in the witness
         thetas[-1].reshape(problem.n, -1)[1] = 0.0
         r_q, r_c = problem.rates(thetas)
@@ -300,6 +307,7 @@ def test_ensemble_rates_match_generalized_information():
             ens = problem.ensemble_of(theta)
             if i == len(thetas) - 1:
                 assert ens.probs[1] == 0.0 and ens.vectors[1, 0] == 1.0
+                assert not theta.reshape(problem.n, -1)[1].any()  # the row is left as it was
             gi = generalized_information(ens, chan)
             assert r_q[i] == pytest.approx(gi.r_q, abs=1e-12)
             assert r_c[i] == pytest.approx(gi.r_c, abs=1e-12)

@@ -273,6 +273,19 @@ def test_cli_info_argument_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_info_target_needs_state_and_channel(tmp_path, capsys):
+    state = write_state(tmp_path / "bell.json", bell_state())
+    ensemble = tmp_path / "ens.json"
+    qio.save_text(str(ensemble), qio.dumps_canonical(
+        qio.ensemble_to_json(classical_bit_ensemble())))
+    for argv in (["--state", state, "--target", "Z"],
+                 ["--state", state, "--target", "A"],
+                 ["--ensemble", str(ensemble), "--channel", "identity(2)", "--target", "A"]):
+        assert main(["info"] + argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --target requires --state and --channel\n", argv
+
+
 def test_cli_kid_output_file(tmp_path, capsys):
     path = write_state(tmp_path / "bell.json", bell_state())
     out = tmp_path / "kid.json"

@@ -50,9 +50,8 @@ def test_lock_step_matches_lone_ascents_with_converse_gradient(kind, chunk):
         value, fid = problem.evaluate(thetas)
         return value - kappa * np.clip(floor - fid, 0.0, None) ** 2
 
-    rng = np.random.default_rng(2)
-    starts = np.stack([problem.identity_params()]
-                      + [rng.normal(size=problem.n_params) for _ in range(3)])
+    x = np.random.default_rng(2).normal(size=(3, 2, problem.n_params))
+    starts = np.concatenate([problem.identity_params()[None], x[:, 0] + 1j * x[:, 1]])
     assert_rows_match_lone_runs(objective, starts, max_iters=25, init_step=0.2,
                                 chunk=chunk or problem.chunk,
                                 gradient=lambda thetas: problem.gradient(thetas, floor, kappa))

@@ -540,6 +540,17 @@ def test_slack_rejects_bool():
             is_conditionally_typical([0, 1], [0, 1], _COND, flag)
 
 
+def test_window_past_the_block_length_is_empty():
+    # a clipped entry just above 1 puts the lower count edge at n + 1, so the rule
+    # |N - n p| <= n delta + COUNT_EPS admits no sequence: |3000 - 3000 p| = 1.5e-9
+    spec = TypicalSpec([1 + 5e-13, -5e-13], 3000, 1e-13)
+    lo, hi = spec.count_windows()
+    assert lo.tolist() == [3001, 0] and hi.tolist() == [3000, 0]
+    assert typical_count(spec) == 0
+    assert typical_mass(spec) == 0.0
+    assert not is_typical([0] * 3000, spec)
+
+
 def _count_offsets(yn, xn, cond) -> np.ndarray:
     """|N(x,y) - p(y|x) N(x)| for every pair (x, y), the membership oracle's terms."""
     joint = np.zeros(cond.shape, dtype=int)
