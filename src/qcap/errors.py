@@ -59,7 +59,17 @@ def _positive_int(value, message: str) -> int:
 
 
 def _positive_float(value, message: str) -> float:
-    """``value`` as a float if 0 < value < inf and it is not a bool, else ValidationError."""
-    if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:
+    """``value`` as a float if 0 < value < inf and it is neither a bool nor complex,
+    else ValidationError.
+
+    Real numbers of any type pass, 0-d numpy arrays included; a value that
+    cannot be compared with 0 (a string, None) fails like an out-of-range one.
+    """
+    try:
+        ok = not isinstance(value, (bool, np.bool_)) and not np.iscomplexobj(value) \
+            and 0 < value < math.inf
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
         raise ValidationError(message)
     return float(value)

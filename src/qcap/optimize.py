@@ -23,16 +23,21 @@ MIN_STEP = 1e-9     # give up once the step ladder shrinks below this
 FTOL = 1e-10        # gains below this count as a stall; four stalls in a row stop
 
 
-def _chunked_eval(objective: Objective, batch: np.ndarray, chunk: int) -> np.ndarray:
+def _chunked_eval(fn: Callable[[np.ndarray], np.ndarray], batch: np.ndarray, chunk: int,
+                  dtype=float) -> np.ndarray:
+    """``fn`` on ``batch``, at most ``chunk`` rows a call, as one ``dtype`` array."""
     if len(batch) <= chunk:
-        return np.asarray(objective(batch), dtype=float)
-    parts = [objective(batch[i:i + chunk]) for i in range(0, len(batch), chunk)]
-    return np.concatenate([np.asarray(p, dtype=float) for p in parts])
+        return np.asarray(fn(batch), dtype=dtype)
+    return np.concatenate([np.asarray(fn(batch[i:i + chunk]), dtype=dtype)
+                           for i in range(0, len(batch), chunk)])
 
 
-def _gradient(gradient: Gradient, thetas: np.ndarray) -> np.ndarray:
-    """Gradients (S, P) at a batch of rows; one call per iteration, so a wrapper counts them."""
-    return np.asarray(gradient(thetas), dtype=complex)
+def _gradient(gradient: Gradient, thetas: np.ndarray, chunk: int) -> np.ndarray:
+    """Gradients (S, P) at a batch of rows, ``chunk`` rows a call.
+
+    ``maximize`` calls this once per iteration, so a wrapper counts iterations.
+    """
+    return _chunked_eval(gradient, thetas, chunk, complex)
 
 
 def maximize(objective: Objective, theta0: np.ndarray, *, gradient: Gradient, max_iters: int,
@@ -41,16 +46,19 @@ def maximize(objective: Objective, theta0: np.ndarray, *, gradient: Gradient, ma
 
     ``gradient`` returns g = df/dRe(theta) + i df/dIm(theta) per row, and
     each step moves along g / sqrt(sum |g|^2).
-    The starts move in lock step, one gradient call and one line-search call
-    per iteration, but each keeps its own step, stall count and stopping
+    The starts move in lock step, one batched gradient and one batched line
+    search per iteration, but each keeps its own step, stall count and stopping
     rule, so every row ends where an ascent from that row alone would.
-    Objective calls take at most ``chunk`` rows at a time.  Level-1 and
-    level-2 batches stay below the callers' chunks, and so do level-3 ones
-    of phase-covariant channels (a level-3 depolarizing solve with 8
-    restarts peaks at 114 MB; its chunk of 100 rows never binds).  Other
-    level-3 line searches do not: the same solve on depolarizing's Kraus
-    operators without the flag peaks at 266 MB with its chunk of 13 rows
-    and at 568 MB without it.
+    Objective calls take at most ``chunk`` rows at a time, a slice the caller
+    sizes from its per-row footprint, and gradient calls at most half as
+    many: a gradient row holds up to twice an objective row's arrays (about
+    1.9 times in the trade-off search, 1.6 in the converse one).  A trade-off
+    curve ascends every start of every weight in one batch, so level-3
+    curves reach both slices.  A 3-weight level-3 curve on
+    depolarizing's Kraus operators without the phase-covariant flag (8
+    restarts, 2 iterations; slices of 13 and 6 rows) peaks at 253 MB, and at
+    423 MB with gradient slices as large as the objective's.  The same curve
+    of the flagged channel (slices of 100 and 50 rows) peaks at 232 MB.
     """
     theta = np.array(theta0, dtype=complex)
     best = _chunked_eval(objective, theta, chunk)
@@ -59,7 +67,7 @@ def maximize(objective: Objective, theta0: np.ndarray, *, gradient: Gradient, ma
     active = np.arange(len(theta))
     rungs = 0.35 ** np.arange(6)
     for _ in range(max_iters):
-        grad = _gradient(gradient, theta[active])
+        grad = _gradient(gradient, theta[active], max(chunk // 2, 1))
         norm = np.sqrt([g.real @ g.real + g.imag @ g.imag for g in grad])  # as np.linalg.norm
         moving = norm >= 1e-9
         active, grad, norm = active[moving], grad[moving], norm[moving]

@@ -13,11 +13,13 @@ one complex d_A x d_R matrix A_x per branch, read as the weighted branch
 state p_x rho_x = A_x A_x^dagger / sum_y |A_y|^2, with the exact gradient:
 dS(sigma)/dsigma = -log sigma, pulled back to p_x rho_x through the output
 map; psi_x = A_x / |A_x|.  Deterministic classical and maximally entangled
-starting points pin the curve endpoints; random restarts and warm starts
-from neighboring weights refine the interior.  All starts of one solve
-ascend in lock step, one batched gradient and one batched line search per
-iteration.  Every returned point carries its witness ensemble, and
-re-evaluating a witness reproduces the recorded rates: the optimizer and
+starting points pin the curve endpoints; random restarts refine the
+interior.  Every start of every weight of a curve ascends in lock step, one
+batched gradient and one batched line search per iteration, each row
+carrying its own weight; no row's path depends on the others, so each curve
+point is, to the byte, the scalarized solve at its weight.  Every returned
+point carries its witness ensemble, and re-evaluating a witness reproduces
+the recorded rates: the optimizer and
 :func:`qcap.information.generalized_information` share one output map,
 which takes rho_x to N(rho_x) and to the complementary output
 N^c(rho_x)_jk = Tr[K_j rho_x K_k^dagger], whose entropy is S((N tensor id)(psi_x)).
@@ -116,8 +118,10 @@ class _EnsembleProblem:
     """Batched rate evaluation for parameterized ensembles on A^l.
 
     A parameter row holds the complex d_A x d_R matrices A_x of the n branches,
-    flattened.  X_x = A_x A_x^dagger / sum_y |A_y|^2 is the weighted branch
-    state p_x rho_x, so p_x = Tr X_x and psi_x = A_x / |A_x|.
+    flattened; ``objective`` and ``gradient`` take weighted rows, a parameter
+    row followed by its scalarization weight t (see ``weighted``).
+    X_x = A_x A_x^dagger / sum_y |A_y|^2 is the weighted branch state
+    p_x rho_x, so p_x = Tr X_x and psi_x = A_x / |A_x|.
     The average output is N(P(sum_x X_x)), read through ``avg_map``, which
     takes row-major vec(sum_x X_x) to vec N(P(sum_x X_x)).  P, the branch
     count n and the twirl order are set once from the channel: the identity,
@@ -173,8 +177,27 @@ class _EnsembleProblem:
         r_q = (probs * (s_b - s_br)).sum(axis=1)
         return r_q, r_c
 
-    def gradient(self, thetas: np.ndarray, t: float) -> np.ndarray:
-        """Exact gradient of (1 - t) r_c + t r_q (block values) for a batch (B, P).
+    @staticmethod
+    def weighted(thetas: np.ndarray, weights) -> np.ndarray:
+        """Rows [theta, t] for every weight t (outer) and parameter row theta (inner).
+
+        The weight rides in the row, so rows of different weights share one
+        objective or gradient call and any slice of a batch keeps its weights.
+        """
+        weights = np.asarray(weights, dtype=float).reshape(-1)
+        return np.concatenate([np.tile(thetas, (len(weights), 1)),
+                               np.repeat(weights, len(thetas))[:, None]], axis=1)
+
+    def objective(self, rows: np.ndarray) -> np.ndarray:
+        """(1 - t) r_c + t r_q (block values) for a batch of weighted rows."""
+        t = rows[:, -1].real
+        r_q, r_c = self.rates(rows[:, :-1])
+        return (1.0 - t) * r_c + t * r_q
+
+    def gradient(self, rows: np.ndarray) -> np.ndarray:
+        """Exact gradient of ``objective`` for a batch of weighted rows (B, P + 1).
+
+        The entry for t is 0, so an ascent never moves a row's weight.
 
         The objective is (1-t) S(N(P(sum_x X_x))) + sum_x Tr X_x h_x with
         h_x = (2t-1) S(sigma_x) - t S(E_x), sigma_x and E_x the normalized
@@ -186,24 +209,27 @@ class _EnsembleProblem:
         X = A A^dagger / sum |A|^2 the gradient Gamma_x in X_x becomes
         2 (Gamma_x - c I) A_x / sum |A|^2 with c = sum_x Tr[Gamma_x X_x].
         """
-        b, n, d_a = len(thetas), self.n, self.d_a
-        a, total, probs, sigma_b, env, avg_b = self._outputs(thetas)
+        b, n, d_a = len(rows), self.n, self.d_a
+        t = rows[:, -1].real[:, None]
+        t_b = 2.0 * t - 1.0  # the weight of S(N(X_x)), as t is that of -S(N^c(X_x))
+        a, total, probs, sigma_b, env, avg_b = self._outputs(rows[:, :-1])
         (s_b, g_b), (s_e, g_e), (_, g_avg) = per_size(entropy_and_gradient,
                                                        sigma_b, env, avg_b)
 
-        # Tr[Gamma dX] pulled back from vec(Gamma^T) of every output
-        pw = probs[..., None, None]
-        cot = np.concatenate([((2.0 * t - 1.0) * pw * g_b).swapaxes(-1, -2).reshape(b, n, -1),
-                              ((-t) * pw * g_e).swapaxes(-1, -2).reshape(b, n, -1)], axis=-1)
+        # Tr[Gamma dX] pulled back from vec(Gamma^T) of every output; the
+        # weights scale (B, n) arrays before they meet the matrices
+        w_b, w_e = (t_b * probs)[..., None, None], (-t * probs)[..., None, None]
+        cot = np.concatenate([(w_b * g_b).swapaxes(-1, -2).reshape(b, n, -1),
+                              (w_e * g_e).swapaxes(-1, -2).reshape(b, n, -1)], axis=-1)
         avg = (g_avg.swapaxes(-1, -2).reshape(b, 1, -1) * self.avg_map).sum(axis=-1)
-        gam = (cot @ self.out_map.T + (1.0 - t) * avg[:, None]).reshape(
+        gam = (cot @ self.out_map.T + ((1.0 - t) * avg)[:, None]).reshape(
             b, n, d_a, d_a).swapaxes(-1, -2)
-        h = (2.0 * t - 1.0) * s_b - t * s_e
+        h = t_b * s_b - t * s_e
         g_a = gam @ a + h[..., None, None] * a
         total = total[..., None, None]
         c = (a.conj() * g_a).real.sum(axis=(1, 2, 3), keepdims=True) / total
         g_a = 2.0 * (g_a - c * a) / total
-        return g_a.reshape(b, -1)
+        return np.concatenate([g_a.reshape(b, -1), np.zeros((b, 1))], axis=1)
 
     def ensemble_of(self, theta: np.ndarray) -> CQEnsemble:
         """The witness: the n branches twirled by Z^j for j below the twirl order k.
@@ -275,43 +301,46 @@ def evaluate_point(ensemble: CQEnsemble, channel: QuantumChannel, l: int = 1) ->
     return max(info.r_q, 0.0) / l, info.r_c / l
 
 
+def _solve(channel: QuantumChannel, l: int, weights: Sequence[float],
+           opts: OptimizerOptions) -> list[ScalarizedResult]:
+    """Maximize (1 - t) r_c + t r_q at level ``l`` for every t in ``weights``, in one ascent.
+
+    Every weight gets the same starts, the 2 canonical ones and then
+    ``opts.restarts`` random ones from one seeded stream, and every
+    (weight, start) row ascends in the same ``optimize.maximize`` run.  No
+    row's path depends on the others, so each weight's result is the one a
+    solve at that weight alone returns.
+    """
+    problem = _EnsembleProblem(channel, l)
+    rng = seed_rng(opts.seed, "tradeoff")
+    starts = np.stack(problem.canonical_starts(rng)
+                      + [problem.random_start(rng) for _ in range(opts.restarts)])
+    shape = (len(weights), len(starts))
+    # a solve falls back when it ends no higher than its better canonical start
+    baselines = optimize._chunked_eval(problem.objective, problem.weighted(starts[:2], weights),
+                                       problem.chunk).reshape(-1, 2).max(axis=1)
+    thetas, values = optimize.maximize(problem.objective, problem.weighted(starts, weights),
+                                       max_iters=opts.max_iters, init_step=INIT_STEP,
+                                       chunk=problem.chunk, gradient=problem.gradient)
+    results = []
+    for t, baseline, rows, row_values in zip(weights, baselines, thetas.reshape(*shape, -1),
+                                             values.reshape(shape)):
+        best = int(np.argmax(row_values))
+        theta, t = rows[best, :-1].copy(), float(t)
+        ens = problem.ensemble_of(theta)
+        r_q, r_c = evaluate_point(ens, channel, l)
+        results.append(ScalarizedResult(
+            ensemble=ens, r_q=r_q, r_c=r_c, value=(1.0 - t) * r_c + t * r_q, weight_t=t,
+            fell_back=bool(row_values[best] <= baseline + 1e-12), params=theta))
+    return results
+
+
 def optimize_scalarized(channel: QuantumChannel, l: int, t: float,
-                        opts: OptimizerOptions | None = None,
-                        extra_starts: Sequence[np.ndarray] = ()) -> ScalarizedResult:
+                        opts: OptimizerOptions | None = None) -> ScalarizedResult:
     """Maximize (1 - t) r_c + t r_q over ensembles at level ``l``."""
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"scalarization weight {t} outside [0, 1]")
-    opts = opts or OptimizerOptions()
-    problem = _EnsembleProblem(channel, l)
-
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        r_q, r_c = problem.rates(thetas)
-        return (1.0 - t) * r_c + t * r_q
-
-    rng = seed_rng(opts.seed, "tradeoff")
-    canonical = problem.canonical_starts(rng)
-    starts = list(canonical)
-    for extra in extra_starts:
-        theta = np.asarray(extra, dtype=complex)
-        if theta.shape != (problem.n_params,):
-            raise ValidationError("warm start has the wrong parameter shape")
-        if not theta.any():
-            raise ValidationError("warm start has all branch matrices zero")
-        starts.append(theta)
-    for _ in range(opts.restarts):
-        starts.append(problem.random_start(rng))
-
-    baseline = float(np.max(objective(np.stack(canonical))))
-    thetas, values = optimize.maximize(objective, np.stack(starts), max_iters=opts.max_iters,
-                                       init_step=INIT_STEP, chunk=problem.chunk,
-                                       gradient=lambda th: problem.gradient(th, t))
-    best = int(np.argmax(values))
-    theta = thetas[best]
-    ens = problem.ensemble_of(theta)
-    r_q, r_c = evaluate_point(ens, channel, l)
-    return ScalarizedResult(ensemble=ens, r_q=r_q, r_c=r_c,
-                            value=(1.0 - t) * r_c + t * r_q, weight_t=float(t),
-                            fell_back=bool(values[best] <= baseline + 1e-12), params=theta)
+    return _solve(channel, l, [t], opts or OptimizerOptions())[0]
 
 
 def default_t_grid(count: int = 21) -> np.ndarray:
@@ -368,22 +397,21 @@ def compute_curve(channel: QuantumChannel, l: int = 1,
                   opts: OptimizerOptions | None = None) -> TradeoffCurve:
     """Trace the level-``l`` trade-off curve over a scalarization grid.
 
-    Neighboring grid points share warm starts, so the sweep is cheaper than
-    independent maximizations.  The returned envelope includes synthetic
-    axis-projection anchors when no witnessed point achieves them.
+    Every weight of the grid is solved in one lock-step ascent: one problem,
+    one batched baseline and one ``optimize.maximize`` run whose rows are the
+    starts at every weight.  Each point is what ``optimize_scalarized`` returns
+    at its weight with the same options, whatever the rest of the grid.  The
+    returned envelope includes synthetic axis-projection anchors when no
+    witnessed point achieves them.
     """
     opts = opts or OptimizerOptions()
     grid = default_t_grid() if t_grid is None else np.asarray(sorted(float(t) for t in t_grid))
     if grid.size < 2 or not np.isfinite(grid).all() or grid[0] != 0.0 or grid[-1] != 1.0:
         raise ValidationError("the weight grid must be finite and span 0 to 1 inclusive")
 
-    achieved: list[CurvePoint] = []
-    warm: list[np.ndarray] = []
-    for t in grid:
-        res = optimize_scalarized(channel, l, float(t), opts, extra_starts=tuple(warm))
-        warm = [res.params]
-        achieved.append(CurvePoint(r_q=res.r_q, r_c=res.r_c, weight_t=float(t),
-                                   witness=res.ensemble, synthetic=False))
+    achieved = [CurvePoint(r_q=res.r_q, r_c=res.r_c, weight_t=res.weight_t,
+                           witness=res.ensemble, synthetic=False)
+                for res in _solve(channel, l, grid, opts)]
 
     c_q = max(p.r_q for p in achieved)
     c_c = max(p.r_c for p in achieved)

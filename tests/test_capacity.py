@@ -167,9 +167,10 @@ def test_plan_block_validation():
     with pytest.raises(ValidationError):
         plan_block(report, n=0, delta=0.1)
     # a bool is not a margin, and an infinite one plans nothing
-    for delta in (0.0, float("nan"), True, np.True_, float("inf")):
+    for delta in (0.0, float("nan"), True, np.True_, float("inf"), "0.1", None, 1j):
         with pytest.raises(ValidationError, match="margin delta must be positive"):
             plan_block(report, n=10, delta=delta)
+    assert plan_block(report, n=10, delta=np.array(0.1)) == plan_block(report, n=10, delta=0.1)
 
 
 def test_plan_block_integer_types():

@@ -23,21 +23,46 @@ def test_lock_step_matches_lone_ascents_with_exact_gradient():
     rng = np.random.default_rng(0)
     starts = np.stack(problem.canonical_starts(rng)
                       + [problem.random_start(rng) for _ in range(3)])
-
-    def objective(thetas):
-        return problem.rates(thetas)[0]
-
+    # every start at three weights, so rows of different weights share each call
+    rows = problem.weighted(starts, [0.0, 0.6, 1.0])
     active = []
 
-    def gradient(thetas):
-        active.append(len(thetas))
-        return problem.gradient(thetas, 1.0)
+    def gradient(batch):
+        active.append(len(batch))
+        return problem.gradient(batch)
 
     kwargs = dict(max_iters=200, init_step=INIT_STEP, chunk=problem.chunk, gradient=gradient)
-    optimize.maximize(objective, starts, **kwargs)
+    thetas, _ = optimize.maximize(problem.objective, rows, **kwargs)
     # the starts stop at different iterations, so the active set shrinks in steps
-    assert active[0] == len(starts) and len(set(active)) >= 4
-    assert_rows_match_lone_runs(objective, starts, **kwargs)
+    assert active[0] == len(rows) and len(set(active)) >= 4
+    assert np.array_equal(thetas[:, -1], rows[:, -1])  # no row's weight moves
+    assert_rows_match_lone_runs(problem.objective, rows, **kwargs)
+
+
+def test_objective_and_gradient_calls_stay_within_their_slices():
+    problem = _EnsembleProblem(identity_channel(2), 1)
+    rng = np.random.default_rng(1)
+    rows = np.stack([problem.random_start(rng) for _ in range(7)])
+    chunk = 5
+    seen = {"objective": [], "gradient": []}
+
+    def objective(batch):
+        seen["objective"].append(len(batch))
+        return problem.objective(batch)
+
+    def gradient(batch):
+        seen["gradient"].append(len(batch))
+        return problem.gradient(batch)
+
+    thetas, values = optimize.maximize(objective, problem.weighted(rows, [0.5]), gradient=gradient,
+                                       max_iters=6, init_step=INIT_STEP, chunk=chunk)
+    # a gradient call takes at most half the objective's slice
+    assert max(seen["objective"]) == chunk and max(seen["gradient"]) == chunk // 2
+    # slicing changes no row: the same ascent in one call per step
+    whole, whole_values = optimize.maximize(
+        problem.objective, problem.weighted(rows, [0.5]), gradient=problem.gradient,
+        max_iters=6, init_step=INIT_STEP, chunk=len(rows) * 6)
+    assert np.array_equal(thetas, whole) and np.array_equal(values, whole_values)
 
 
 @pytest.mark.parametrize("kind, chunk", [("W", None), ("Y", 7)], ids=["W", "Y"])

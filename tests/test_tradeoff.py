@@ -107,17 +107,6 @@ def test_dephasing_holevo_endpoint_reaches_one_bit():
     assert res.value >= 1 - 1e-9
 
 
-def test_warm_start_validation():
-    n_params = _EnsembleProblem(identity_channel(2), 1).n_params
-    with pytest.raises(ValidationError, match="wrong parameter shape"):
-        optimize_scalarized(identity_channel(2), 1, 0.5, SMALL,
-                            extra_starts=[np.ones(n_params + 1)])
-    # every branch matrix zero leaves the weighted branch states 0 / 0
-    with pytest.raises(ValidationError, match="all branch matrices zero"):
-        optimize_scalarized(identity_channel(2), 1, 0.5, SMALL,
-                            extra_starts=[np.zeros(n_params)])
-
-
 def test_curve_identity_matches_line():
     curve = compute_curve(identity_channel(2), l=1,
                           t_grid=default_t_grid(9), opts=SMALL)
@@ -194,9 +183,73 @@ def test_curve_grid_is_checked_before_any_solve(grid, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the grid was checked")
 
-    monkeypatch.setattr(tradeoff, "optimize_scalarized", no_solve)
+    monkeypatch.setattr(tradeoff, "_solve", no_solve)
     with pytest.raises(ValidationError, match="weight grid"):
         compute_curve(identity_channel(2), t_grid=grid, opts=SMALL)
+
+
+def assert_same_witness(a: CQEnsemble, b: CQEnsemble):
+    assert np.array_equal(a.probs, b.probs) and np.array_equal(a.vectors, b.vectors)
+
+
+@pytest.mark.parametrize("name, level, opts", [
+    ("dephasing(0.1)", 1, SMALL),
+    ("erasure(0.2)", 1, SMALL),
+    ("dephasing(0.1)", 2, OptimizerOptions(restarts=1, max_iters=8, seed=0)),
+])
+def test_curve_points_are_the_scalarized_solves(name, level, opts):
+    # every weight ascends in one lock-step run, yet each point is, to the
+    # byte, the solve at that weight alone
+    channel = channel_from_name(name)
+    curve = compute_curve(channel, level, default_t_grid(5), opts)
+    for p in curve.achieved:
+        res = optimize_scalarized(channel, level, p.weight_t, opts)
+        assert_same_witness(p.witness, res.ensemble)
+        assert (p.r_q, p.r_c) == (res.r_q, res.r_c), p.weight_t
+
+
+def test_curve_point_does_not_depend_on_the_rest_of_the_grid():
+    channel = dephasing_channel(0.1)
+    three = compute_curve(channel, 1, [0.0, 0.5, 1.0], SMALL)
+    five = compute_curve(channel, 1, [0.0, 0.25, 0.5, 0.75, 1.0], SMALL)
+    assert three.achieved[1].weight_t == five.achieved[2].weight_t == 0.5
+    assert_same_witness(three.achieved[1].witness, five.achieved[2].witness)
+
+
+def test_curve_calls_stay_within_the_problem_slices(monkeypatch):
+    # 5 weights x 5 starts: the baseline's 10 rows, the ascent's 25 and its
+    # 150 line-search rows all exceed a chunk of 4 rows, and gradient slices of 2
+    channel, grid = dephasing_channel(0.1), default_t_grid(5)
+    whole = compute_curve(channel, 1, grid, SMALL)
+    init, objective, gradient = (_EnsembleProblem.__init__, _EnsembleProblem.objective,
+                                 _EnsembleProblem.gradient)
+    seen = {"objective": [], "gradient": []}
+
+    def small_slices(self, *args):
+        init(self, *args)
+        self.chunk = 4
+
+    def recorded(name, fn):
+        return lambda self, rows: seen[name].append(len(rows)) or fn(self, rows)
+
+    monkeypatch.setattr(_EnsembleProblem, "__init__", small_slices)
+    monkeypatch.setattr(_EnsembleProblem, "objective", recorded("objective", objective))
+    monkeypatch.setattr(_EnsembleProblem, "gradient", recorded("gradient", gradient))
+    sliced = compute_curve(channel, 1, grid, SMALL)
+    assert max(seen["objective"]) == 4 and max(seen["gradient"]) == 2
+    for a, b in zip(whole.achieved, sliced.achieved):
+        assert_same_witness(a.witness, b.witness)
+
+
+def test_fell_back_is_judged_per_weight():
+    # one step from the canonical starts: only at t = 0.5, where both canonical
+    # starts already reach the identity's optimum, does the ascent gain nothing
+    opts = OptimizerOptions(restarts=0, max_iters=1, seed=0)
+    grid = [0.0, 0.5, 1.0]
+    solved = tradeoff._solve(identity_channel(2), 1, grid, opts)
+    assert [r.fell_back for r in solved] == [False, True, False]
+    assert [optimize_scalarized(identity_channel(2), 1, t, opts).fell_back
+            for t in grid] == [False, True, False]
 
 
 def test_fully_dephasing_has_no_quantum_rate():
@@ -250,12 +303,18 @@ def test_exact_gradient_matches_central_differences(level):
         r_q, r_c = (central_differences(lambda th, k=k: problem.rates(th)[k], thetas[:1],
                                         problem.chunk)[0] for k in (0, 1))
         for t in (0.0, 0.3, 0.5, 1.0):
-            exact = problem.gradient(thetas, t)
+            weighted = problem.weighted(thetas, [t])
+            exact = problem.gradient(weighted)
+            assert not exact[:, -1].any(), (case, t)  # the weight is not a parameter
             oracle = t * r_q + (1.0 - t) * r_c
-            assert np.abs(exact[0] - oracle).max() <= 1e-6 * np.abs(oracle).max(), (case, t)
-            rows = np.concatenate([problem.gradient(th[None], t) for th in thetas])
+            assert np.abs(exact[0, :-1] - oracle).max() <= 1e-6 * np.abs(oracle).max(), (case, t)
+            rows = np.concatenate([problem.gradient(row[None]) for row in weighted])
             assert np.array_equal(exact, rows), (case, t)
-            assert np.isfinite(problem.gradient(canonical, t)).all(), (case, t)
+            assert np.isfinite(problem.gradient(problem.weighted(canonical, [t]))).all(), (case, t)
+        # rows of different weights in one call get their own weight's gradient
+        mixed = problem.weighted(thetas, [0.3, 1.0])
+        assert np.array_equal(problem.gradient(mixed), np.concatenate(
+            [problem.gradient(problem.weighted(thetas, [t])) for t in (0.3, 1.0)])), case
 
 
 def dephrasure(p: float, q: float) -> QuantumChannel:

@@ -540,6 +540,14 @@ def test_slack_rejects_bool():
             is_conditionally_typical([0, 1], [0, 1], _COND, flag)
 
 
+def test_slack_rejects_values_that_are_not_real_numbers():
+    # none of these compares with 0, so each used to escape as a raw TypeError
+    for bad in ("0.1", None, 1j, np.complex128(0.1)):
+        with pytest.raises(ValidationError, match="slack must be positive"):
+            TypicalSpec([0.5, 0.5], 4, bad)
+    assert TypicalSpec([0.5, 0.5], 4, np.array(0.1)).delta == 0.1
+
+
 def test_window_past_the_block_length_is_empty():
     # a clipped entry just above 1 puts the lower count edge at n + 1, so the rule
     # |N - n p| <= n delta + COUNT_EPS admits no sequence: |3000 - 3000 p| = 1.5e-9
